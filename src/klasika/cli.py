@@ -241,9 +241,8 @@ def _ternary_from_arg(text: str) -> forms.TernaryForm:
 def _cmd_classify_quadric(args, opts):
     _need_args(args, 1, "classify-quadric a,b,c,d,e,f")
     form = _ternary_from_arg(args[0])
-    kind = forms.classify_quadric(form)
-    sig = forms.inertia(forms.form_to_matrix(form))
-    note = forms.quadric_degeneracy_note(form)
+    kind, sig = forms._classify_quadric(form)
+    note = forms._degeneracy_note(sig)
     payload = {
         "command": "classify-quadric",
         "inertia": list(sig.as_tuple()),
@@ -258,8 +257,8 @@ def _cmd_classify_quadric(args, opts):
 def _cmd_diagonalize(args, opts):
     _need_args(args, 1, "diagonalize a,b,c,d,e,f")
     form = _ternary_from_arg(args[0])
-    substitution, diag_coeffs = forms.diagonal_substitution(form)
     dg = forms.orthogonal_diagonalize(forms.form_to_matrix(form))
+    substitution, diag_coeffs = tuple(zip(*dg.S)), dg.D  # as forms.diagonal_substitution
     tol = opts.get("tol", 1e-6)
     payload = {
         "command": "diagonalize",

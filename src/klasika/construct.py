@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .exact import Polynomial, RationalLike, _as_fraction, rational_roots
+from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, rational_roots
 
 __all__ = [
     "Num",
@@ -46,7 +46,6 @@ __all__ = [
     "cube_doubling",
     "circle_squaring",
     "degree_power_of_two_check",
-    "KNOWN_FERMAT_PRIMES",
 ]
 
 
@@ -243,8 +242,6 @@ class ConstructibilityVerdict:
 
 # -- Fermat primes and regular n-gons ---------------------------------------------
 
-KNOWN_FERMAT_PRIMES = (3, 5, 17, 257, 65537)
-
 _INPUT_CAP = 2**64
 
 
@@ -337,13 +334,6 @@ def ngon_constructible(n: int) -> ConstructibilityVerdict:
 # -- trisection, cube scaling, circle squaring ------------------------------------
 
 
-def _cleared_int_poly(f: Polynomial) -> Polynomial:
-    lcm = 1
-    for c in f.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return Polynomial([c * lcm for c in f.coeffs])
-
-
 def trisectable(cos3a: RationalLike) -> ConstructibilityVerdict:
     """Can an angle with rational cos(3a) be trisected?
 
@@ -355,7 +345,7 @@ def trisectable(cos3a: RationalLike) -> ConstructibilityVerdict:
     cos3a = _as_fraction(cos3a)
     if abs(cos3a) > 1:
         raise ValueError(f"|cos 3a| must be <= 1, got {cos3a}")
-    cubic = _cleared_int_poly(Polynomial([-cos3a, -3, 0, 4]))
+    cubic = Polynomial(_clear_denominators([-cos3a, -3, 0, 4])[1])
     roots = rational_roots(cubic)
     details = {
         "cos_3a": str(cos3a),
@@ -383,7 +373,7 @@ def cube_scaling(factor: RationalLike) -> ConstructibilityVerdict:
     factor = _as_fraction(factor)
     if factor <= 0:
         raise ValueError("volume factor must be positive")
-    cubic = _cleared_int_poly(Polynomial([-factor, 0, 0, 1]))
+    cubic = Polynomial(_clear_denominators([-factor, 0, 0, 1])[1])
     roots = rational_roots(cubic)
     details = {"volume_factor": str(factor), "witness_cubic": cubic.to_text()}
     if roots:

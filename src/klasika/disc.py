@@ -14,8 +14,10 @@ appears twice between the two derivations and therefore cancels: for monic
 input the two routes agree exactly, and a non-monic leading coefficient only
 contributes the factor a_n^(2n-2).
 
-Everything is exact over the rationals; determinants use fraction-free
-(Bareiss) elimination so integer inputs stay integral along the way.
+Everything is exact over the rationals.  Determinants, and the linear
+solves and null spaces of `forms`, share one elimination: each row is
+cleared of denominators and the matrix is eliminated over the integers by
+fraction-free (Bareiss) steps, whose divisions are all exact.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import Polynomial, RationalLike, _as_fraction, poly_gcd
+from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators
 
 __all__ = [
     "SquareMatrix",
@@ -88,30 +90,62 @@ class SquareMatrix:
         )
 
 
+def _eliminate(
+    rows: Sequence[Sequence[Fraction]], jordan: bool
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) elimination of rational rows over Z.
+
+    Each row is first scaled to integers by its least common denominator.
+    Every entry produced afterwards is a minor of that integer matrix, so
+    each division by the previous pivot is exact.  Columns without a pivot
+    are skipped.  With ``jordan`` the entries above each pivot are cleared
+    too (fraction-free Gauss-Jordan), so every pivot row is zero in every
+    other pivot column.
+
+    Returns the eliminated rows, the pivot column of each leading row, and
+    the factor by which the row scalings and swaps multiplied the
+    determinant.
+    """
+    a = []
+    scale = 1
+    for row in rows:
+        d, ints = _clear_denominators(row)
+        a.append(ints)
+        scale *= d
+    pivots: list[int] = []
+    prev = 1
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == len(a):
+            break
+        pivot_row = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            scale = -scale
+        top = a[r]
+        p = top[col]
+        for i in range(len(a)) if jordan else range(r + 1, len(a)):
+            if i == r:
+                continue
+            row = a[i]
+            f = row[col]
+            lo = col if i > r else 0  # rows below are already zero left of col
+            a[i] = row[:lo] + [(p * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
+        pivots.append(col)
+        prev = p
+    return a, pivots, scale
+
+
 def determinant(m: SquareMatrix | Sequence[Sequence[RationalLike]]) -> Fraction:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if not isinstance(m, SquareMatrix):
         m = SquareMatrix(m)
-    n = m.n
-    a = [list(row) for row in m.rows]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    a, pivots, scale = _eliminate(m.rows, jordan=False)
+    if len(pivots) < m.n:
+        return Fraction(0)
+    return Fraction(a[-1][-1], scale)
 
 
 def sylvester_matrix(f: Polynomial, g: Polynomial) -> SquareMatrix:
@@ -204,21 +238,10 @@ def discriminant_hankel(f: Polynomial) -> Fraction:
 
 
 def has_repeated_roots(f: Polynomial) -> bool:
-    """True iff f has a repeated root, i.e. iff its discriminant vanishes.
-
-    Cross-checked internally against deg gcd(f, f') >= 1; the two criteria
-    are equivalent, so a mismatch would mean a bug, not a property of f.
-    """
+    """True iff f has a repeated root, i.e. iff its discriminant vanishes."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no repeated-root predicate")
     n = f.degree
     if n < 1:
         raise ValueError("repeated-root test requires degree >= 1")
-    by_gcd = poly_gcd(f, f.derivative()).degree >= 1
-    if n == 1:
-        by_disc = False
-    else:
-        by_disc = discriminant_resultant(f) == 0
-    if by_disc != by_gcd:
-        raise ArithmeticError("discriminant and gcd repeated-root tests disagree")
-    return by_disc
+    return n > 1 and discriminant_resultant(f) == 0

@@ -284,6 +284,13 @@ class Polynomial:
             return math.inf
 
 
+def _clear_denominators(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d * v for v in values]) for d the least common denominator."""
+    values = list(values)
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic greatest common divisor via the Euclidean algorithm over Q."""
     if f.is_zero and g.is_zero:
@@ -368,10 +375,7 @@ def rational_roots(f: Polynomial) -> list[Fraction]:
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every number as a root")
-    denom_lcm = 1
-    for c in f.coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in f.coeffs]
+    _, ints = _clear_denominators(f.coeffs)
     content = 0
     for c in ints:
         content = math.gcd(content, abs(c))

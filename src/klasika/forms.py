@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .disc import SquareMatrix, determinant
+from .disc import SquareMatrix, _eliminate, determinant
 from .exact import Polynomial, RationalLike, _as_fraction, rational_roots
 from .roots import solve_cubic_cardano, solve_quadratic
 
@@ -365,10 +365,15 @@ _QUADRIC_TABLE = {
 
 def classify_quadric(form: TernaryForm) -> QuadricKind:
     """Surface kind from the exact inertia of the form's matrix."""
+    return _classify_quadric(form)[0]
+
+
+def _classify_quadric(form: TernaryForm) -> tuple[QuadricKind, Inertia]:
+    """The surface kind together with the inertia it was read from."""
     if form.is_zero:
         raise ValueError("cannot classify the zero form")
-    sig = inertia(form_to_matrix(form)).as_tuple()
-    return _QUADRIC_TABLE.get(sig, QuadricKind.OTHER)
+    sig = inertia(form_to_matrix(form))
+    return _QUADRIC_TABLE.get(sig.as_tuple(), QuadricKind.OTHER), sig
 
 
 def quadric_degeneracy_note(form: TernaryForm) -> str | None:
@@ -378,7 +383,10 @@ def quadric_degeneracy_note(form: TernaryForm) -> str | None:
     but e.g. the all-ones form has (x+y+z)^2 = h as its level sets, a pair of
     parallel planes rather than a curved cylinder; the note flags that.
     """
-    sig = inertia(form_to_matrix(form))
+    return _degeneracy_note(inertia(form_to_matrix(form)))
+
+
+def _degeneracy_note(sig: Inertia) -> str | None:
     if sig.n_zero == 0:
         return None
     return (
@@ -388,7 +396,7 @@ def quadric_degeneracy_note(form: TernaryForm) -> str | None:
     )
 
 
-# -- exact and floating-point elimination -----------------------------------------
+# -- exact elimination (the fraction-free kernel in disc) and its float side -----
 
 
 def solve_linear_system(
@@ -399,18 +407,10 @@ def solve_linear_system(
     a = [[_as_fraction(v) for v in row] + [_as_fraction(r)] for row, r in zip(rows, rhs)]
     if any(len(row) != n + 1 for row in a) or len(a) != n:
         raise ValueError("system must be square")
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular linear system")
-        a[k], a[pivot_row] = a[pivot_row], a[k]
-        pivot = a[k][k]
-        a[k] = [v / pivot for v in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                factor = a[i][k]
-                a[i] = [vi - factor * vk for vi, vk in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
+    a, pivots, _ = _eliminate(a, jordan=True)
+    if pivots != list(range(n)):
+        raise ValueError("singular linear system")
+    return [Fraction(a[i][n], a[i][i]) for i in range(n)]
 
 
 def rational_nullspace(rows: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
@@ -419,30 +419,13 @@ def rational_nullspace(rows: Sequence[Sequence[RationalLike]]) -> list[list[Frac
     if not a:
         return []
     ncols = len(a[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][col]
-        a[r] = [v / pivot for v in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [vi - factor * vk for vi, vk in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(a):
-            break
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    a, pivots, _ = _eliminate(a, jordan=True)
     basis = []
-    for free in free_cols:
+    for free in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for row_idx, pcol in enumerate(pivots):
-            vec[pcol] = -a[row_idx][free]
+        for row, pcol in zip(a, pivots):
+            vec[pcol] = Fraction(-row[free], row[pcol])
         basis.append(vec)
     return basis
 
@@ -586,8 +569,4 @@ def diagonal_substitution(
     of the form's matrix read as linear functionals.
     """
     diag = orthogonal_diagonalize(form_to_matrix(form))
-    n = len(diag.D)
-    substitution = tuple(
-        tuple(diag.S[i][j] for i in range(n)) for j in range(n)
-    )
-    return substitution, diag.D
+    return tuple(zip(*diag.S)), diag.D

@@ -285,25 +285,21 @@ class ArctanTerm:
 Term = Union[PolyTerm, LogAbs, PowerTerm, LogQuadratic, ArctanTerm]
 
 
-def _fmt_fraction(value: Fraction) -> str:
-    return str(value)
-
-
 def _fmt_linear(root: Fraction) -> str:
     if root == 0:
         return "x"
     if root > 0:
-        return f"x-{_fmt_fraction(root)}"
-    return f"x+{_fmt_fraction(-root)}"
+        return f"x-{root}"
+    return f"x+{-root}"
 
 
 def _fmt_quadratic(p: Fraction, q: Fraction) -> str:
     out = "x^2"
     if p != 0:
-        xterm = "x" if abs(p) == 1 else f"{_fmt_fraction(abs(p))}*x"
+        xterm = "x" if abs(p) == 1 else f"{abs(p)}*x"
         out += ("+" if p > 0 else "-") + xterm
     if q != 0:
-        out += ("+" if q > 0 else "-") + _fmt_fraction(abs(q))
+        out += ("+" if q > 0 else "-") + str(abs(q))
     return out
 
 
@@ -315,10 +311,10 @@ def _fmt_poly(poly: Polynomial) -> str:
             continue
         mag = abs(c)
         if i == 0:
-            body = _fmt_fraction(mag)
+            body = str(mag)
         else:
             xpart = "x" if i == 1 else f"x^{i}"
-            body = xpart if mag == 1 else f"{_fmt_fraction(mag)}*{xpart}"
+            body = xpart if mag == 1 else f"{mag}*{xpart}"
         pieces.append((c > 0, body))
     return pieces
 
@@ -356,7 +352,7 @@ class SymbolicAntiderivative:
             k = -term.exponent
             denom = f"({_fmt_linear(term.root)})" if k == 1 else f"({_fmt_linear(term.root)})^{k}"
             mag = abs(term.coeff)
-            pieces.append((term.coeff > 0, f"{_fmt_fraction(mag)}/{denom}"))
+            pieces.append((term.coeff > 0, f"{mag}/{denom}"))
         for term in sorted(
             (t for t in self.terms if isinstance(t, LogQuadratic)), key=lambda t: (t.p, t.q)
         ):
@@ -378,7 +374,7 @@ class SymbolicAntiderivative:
         mag = abs(coeff)
         if mag == 1:
             return coeff > 0, body
-        return coeff > 0, f"{_fmt_fraction(mag)}*{body}"
+        return coeff > 0, f"{mag}*{body}"
 
     @staticmethod
     def _arctan_piece(term: ArctanTerm) -> tuple[bool, str]:
@@ -388,16 +384,16 @@ class SymbolicAntiderivative:
         if s is not None:
             total = term.coeff / s
             if shift == 0:
-                arg = "x" if s == 1 else f"x/{_fmt_fraction(s)}"
+                arg = "x" if s == 1 else f"x/{s}"
             else:
                 inner = _fmt_linear(-shift)  # renders x + shift
-                arg = f"({inner})" if s == 1 else f"({inner})/{_fmt_fraction(s)}"
+                arg = f"({inner})" if s == 1 else f"({inner})/{s}"
             return SymbolicAntiderivative._coeff_body(total, f"arctan({arg})")
-        root_txt = f"sqrt({_fmt_fraction(s2)})"
+        root_txt = f"sqrt({s2})"
         inner = "x" if shift == 0 else _fmt_linear(-shift)
         arg = f"({inner})/{root_txt}"
         mag = abs(term.coeff)
-        coeff_txt = f"{_fmt_fraction(mag)}/{root_txt}"
+        coeff_txt = f"{mag}/{root_txt}"
         return term.coeff > 0, f"{coeff_txt}*arctan({arg})"
 
 

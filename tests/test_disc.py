@@ -177,6 +177,16 @@ def test_repeated_roots_matches_gcd_criterion(rng):
         by_gcd = poly_gcd(f, f.derivative()).degree >= 1
         assert by_disc == by_gcd
         assert has_repeated_roots(f) == by_disc
+    # high degrees, where the Sylvester matrices reach order 47
+    for k, degree in enumerate((8, 11, 14, 17, 20, 24)):
+        if k % 2:  # plant a square factor
+            f = Polynomial(rand_coeffs(rng, degree - 4)) * Polynomial(rand_coeffs(rng, 2)) ** 2
+        else:
+            f = Polynomial(rand_coeffs(rng, degree))
+        assert f.degree == degree
+        by_gcd = poly_gcd(f, f.derivative()).degree >= 1
+        assert by_gcd == bool(k % 2)
+        assert has_repeated_roots(f) == by_gcd
 
 
 def test_translation_invariance(rng):
