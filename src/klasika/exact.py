@@ -269,11 +269,7 @@ class Polynomial:
         h = _as_fraction(h)
         if h == 0:
             return self
-        shift = Polynomial([h, 1])
-        acc = Polynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * shift + Polynomial([c])
-        return acc
+        return Polynomial(_taylor_shift(self.coeffs, h))
 
     def norm_1(self) -> float:
         """Float 1-norm of the coefficients (inf if out of double range)."""
@@ -300,117 +296,129 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     return f.monic()
 
 
-# -- integer factoring support for the rational-root test ----------------------
-
-_TRIAL_LIMIT = 1_000_000
-
-# Witnesses certifying deterministic Miller-Rabin below 3.3*10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# -- exact real-root isolation over Z, for the rational-root test --------------
 
 
-def _is_prime_certified(n: int) -> bool:
-    if n >= _MR_DETERMINISTIC_BOUND:
-        raise ValueError(f"cannot certify primality of {n}: beyond the deterministic bound")
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _sign_variations(coeffs: Sequence) -> int:
+    """Sign changes along the nonzero entries (Descartes' rule of signs)."""
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
-def _factor_positive(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division, certified completion."""
-    fac: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            n //= p
-    d = 5
-    step = 2
-    while d * d <= n and d <= _TRIAL_LIMIT:
-        while n % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            n //= d
-        d += step
-        step = 6 - step
-    if n > 1:
-        if n <= _TRIAL_LIMIT * _TRIAL_LIMIT or _is_prime_certified(n):
-            # survived trial division to min(sqrt(n), limit): prime
-            fac[n] = fac.get(n, 0) + 1
-        else:
-            raise ValueError(f"cannot factor {n} within configured bounds")
-    return fac
+def _taylor_shift(coeffs: Sequence, h) -> list:
+    """The ascending coefficients of f(x + h), by repeated synthetic division."""
+    a = list(coeffs)
+    n = len(a) - 1
+    for i in range(n):
+        acc = a[n]
+        for j in range(n - 1, i - 1, -1):
+            acc = a[j] = a[j] + h * acc
+    return a
 
 
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, k in _factor_positive(n).items():
-        divs = [d * p**e for d in divs for e in range(k + 1)]
-    return sorted(divs)
+def _multiplicity(g: list[int], r: Fraction, most: int) -> int:
+    """How many times, up to `most`, q*x - p divides g over Z, for r = p/q."""
+    p, q = r.numerator, r.denominator
+    for m in range(most):
+        out, carry = [], 0
+        for c in reversed(g[1:]):  # synthetic division, top down
+            carry, rem = divmod(c + p * carry, q)
+            if rem:
+                return m
+            out.append(carry)
+        if g[0] + p * carry:
+            return m
+        g = out[::-1]
+    return most
+
+
+def _simplest_fraction(c: int, k: int, e: int) -> Fraction:
+    """The least-denominator fraction in the open interval (c, c+1) * 2**e / 2**k,
+    by continued fractions on (a/b, c/d); d == 0 stands for c/d = inf."""
+    a, b, c, d = c << e, 1 << k, (c + 1) << e, 1 << k
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while (t := a // b) * d + d >= c:
+        h0, h1, k0, k1 = h1, t * h1 + h0, k1, t * k1 + k0
+        a, b, c, d = d, c - t * d, b, a - t * b
+    return Fraction((t + 1) * h1 + h0, (t + 1) * k1 + k0)
+
+
+def _positive_root_candidates(g: list[int], an: int) -> list[Fraction]:
+    """Fractions among which are all positive rational roots of g (ascending, g[0] != 0).
+
+    Collins-Akritas bisection on (0, 2**e): node (c, k) covers (c, c+1) * 2**e / 2**k
+    and holds a local polynomial whose roots in (0, 1) are g's there, counted
+    by Descartes' rule.  A rational root's denominator divides an, so a node
+    narrower than 1/(2*an**2) holds at most one candidate: its simplest fraction.
+    """
+    # Fujiwara: every root is below 2 * max |g[n-i] / g[n]| ** (1/i) < 2**e
+    n, top = len(g) - 1, an.bit_length()
+    steps = (-((top - 1 - abs(c).bit_length()) // (n - i)) for i, c in enumerate(g[:-1]))
+    e = max(0, 1 + max(steps, default=-1))
+    limit = e + (2 * an * an).bit_length()  # a node this deep is narrower than 1/(2*an**2)
+    found, stack = [], [(0, 0, [c << (e * i) for i, c in enumerate(g)])]
+    while stack:
+        c, k, h = stack.pop()
+        variations = _sign_variations(_taylor_shift(h[::-1], 1))
+        if variations == 1:
+            found.append(_refine(g, c, k, e, limit, h[0] > 0))
+        elif variations > 1:
+            # Descartes counts at least the roots inside, so a rational root
+            # of multiplicity `variations` inside is all the node holds.
+            r = _simplest_fraction(c, k, e)
+            if k >= limit or _multiplicity(g, r, variations) == variations:
+                found.append(r)
+                continue
+            left = [x << (len(h) - 1 - i) for i, x in enumerate(h)]
+            right = _taylor_shift(left, 1)
+            if right[0] == 0:  # the midpoint is a root
+                found.append(Fraction((2 * c + 1) << e, 1 << (k + 1)))
+                while right[0] == 0:
+                    del right[0]
+            stack += [(2 * c, k + 1, left), (2 * c + 1, k + 1, right)]
+    return found
+
+
+def _refine(g: list[int], c: int, k: int, e: int, limit: int, positive_at_left: bool) -> Fraction:
+    """Sign bisection on g of node (c, k), which holds one simple root.
+
+    Returns the root once it is the interval's simplest fraction or a
+    midpoint, else the simplest fraction at depth limit.  The right end may
+    be a root, so only the sign at the left end is used.
+    """
+    n, r = len(g) - 1, Fraction(0)
+    while k < limit:
+        if not (c << e) * r.denominator < r.numerator << k < ((c + 1) << e) * r.denominator:
+            r = _simplest_fraction(c, k, e)  # else r is still the simplest
+            if _multiplicity(g, r, 1):
+                return r
+        k, mid, value = k + 1, (2 * c + 1) << e, 0
+        for i in range(n, -1, -1):  # value = g(mid / 2**k) * 2**(k*n), by homogeneous Horner
+            value = value * mid + (g[i] << (k * (n - i)))
+        if value == 0:
+            return Fraction(mid, 1 << k)
+        c = 2 * c + ((value > 0) == positive_at_left)
+    return _simplest_fraction(c, k, e)
 
 
 def rational_roots(f: Polynomial) -> list[Fraction]:
     """All rational roots of f, with multiplicity, sorted ascending.
 
-    Denominators are cleared first; candidates p/q range over divisors of the
-    trailing and leading integer coefficients, each verified by exact
-    evaluation, then divided out to count multiplicity.
+    With denominators and content cleared to g over Z, a root p/q in lowest
+    terms has q | an, the leading coefficient.  Exact Descartes bisection on
+    g(x) and g(-x) narrows each real root to an interval below 1/(2*an**2),
+    whose simplest fraction is the one candidate; exact division over Z
+    checks it and counts its multiplicity.  No integer is factored.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every number as a root")
     _, ints = _clear_denominators(f.coeffs)
-    content = 0
-    for c in ints:
-        content = math.gcd(content, abs(c))
-    ints = [c // content for c in ints]
-
-    # roots at zero
-    v = 0
-    while ints[v] == 0:
-        v += 1
-    roots = [Fraction(0)] * v
-    ints = ints[v:]
-    if len(ints) == 1:
-        return roots
-
-    a0, an = abs(ints[0]), abs(ints[-1])
-    work = Polynomial(ints)
-    f_at_1 = sum(ints)
-    f_at_m1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
-    seen = set()
-    found = []
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            if math.gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                # a root p/q forces (p - q) | f(1) and (p + q) | f(-1)
-                num, den = cand.numerator, cand.denominator
-                if f_at_1 != 0 and num != den and f_at_1 % (num - den) != 0:
-                    continue
-                if f_at_m1 != 0 and num != -den and f_at_m1 % (num + den) != 0:
-                    continue
-                while work.degree >= 1 and work(cand) == 0:
-                    found.append(cand)
-                    work = work // Polynomial([-cand, 1])
-    return sorted(roots + found)
+    zeros = next(i for i, c in enumerate(ints) if c)
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints[zeros:]]
+    roots = [Fraction(0)] * zeros
+    an = abs(ints[-1])
+    for sign in (1, -1):  # the positive roots of g(x), then of g(-x)
+        for r in set(_positive_root_candidates([c * sign**i for i, c in enumerate(ints)], an)):
+            roots += [sign * r] * _multiplicity(ints, sign * r, len(ints))
+    return sorted(roots)

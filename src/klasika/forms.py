@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .disc import SquareMatrix, _eliminate, determinant
-from .exact import Polynomial, RationalLike, _as_fraction, rational_roots
+from .exact import Polynomial, RationalLike, _as_fraction, _sign_variations, rational_roots
 from .roots import solve_cubic_cardano, solve_quadratic
 
 __all__ = [
@@ -258,11 +258,6 @@ def char_poly(m: SquareMatrix) -> Polynomial:
     return Polynomial(list(reversed(coeffs_desc)))
 
 
-def _sign_variations(coeffs: Sequence[Fraction]) -> int:
-    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
-    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
-
-
 def inertia(m: SquareMatrix) -> Inertia:
     """Exact eigenvalue sign counts (positive, negative, zero).
 
@@ -273,13 +268,9 @@ def inertia(m: SquareMatrix) -> Inertia:
     if not m.is_symmetric():
         raise ValueError("inertia requires a symmetric matrix")
     p = char_poly(m)
-    cs = list(p.coeffs)
-    n_zero = 0
-    while cs[n_zero] == 0:
-        n_zero += 1
-    deflated = cs[n_zero:]
-    n_plus = _sign_variations(deflated)
-    n_minus = _sign_variations([c if i % 2 == 0 else -c for i, c in enumerate(deflated)])
+    n_zero = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    n_plus = _sign_variations(p.coeffs)
+    n_minus = _sign_variations([c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)])
     assert n_plus + n_minus + n_zero == m.n
     return Inertia(n_plus, n_minus, n_zero)
 
@@ -323,7 +314,7 @@ def classify_conic(
             if const == 0:
                 return ConicKind.DEGENERATE  # a single point
             if (const > 0) == positive:
-                if positive and a == c and b == 0:
+                if a == c and b == 0:
                     return ConicKind.CIRCLE
                 return ConicKind.ELLIPSE
             return ConicKind.EMPTY

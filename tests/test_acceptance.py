@@ -308,4 +308,5 @@ def test_criterion_12_cli_goldens_and_fuzz():
         result = run(argv)
         assert result.exit_code in (0, 1, 2)
         assert result.status in ("ok", "error")
+        assert result.payload.get("kind") != "internal"
     report(12, "golden outputs for every subcommand; 100000-run fuzz with zero crashes", time.perf_counter() - t0, 30.0)

@@ -1,6 +1,7 @@
 import json
 import random
 import string
+import time
 
 import pytest
 
@@ -91,6 +92,27 @@ def test_golden_ellipse_perimeter():
     result = out(["ellipse", "perimeter", "2", "1"])
     assert result.exit_code == 0
     assert result.payload["value"] == pytest.approx(9.688448220547675, abs=1e-9)
+
+
+def test_negative_scale_circle_is_a_circle():
+    result = run(["classify-conic", "-1,0,-1,0,0,-1"])
+    assert result.human_text == "-x^2 - y^2 = -1:  Circle"
+    assert result.payload["kind"] == "Circle"
+
+
+def test_integrate_divisor_rich_denominator_is_fast():
+    # 963761198400 has 6720 divisors, so a divisor-pair search tries ~45 million pairs
+    t0 = time.perf_counter()
+    result = run(["integrate", "1", "/", "963761198400,1,1,963761198400"])
+    assert result.status == "ok"
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_integrate_semiprime_denominator_is_answered():
+    n = 10000019 * 10000079  # (x + 1)(x^2 + n), with n a product of two 8-digit primes
+    result = run(["integrate", "1", "/", f"{n},{n},1,1"])
+    assert result.status == "ok"
+    assert "ln|x+1|" in result.payload["antiderivative"]
 
 
 def test_ngon_17_json_golden():
@@ -192,4 +214,5 @@ def test_fuzz_never_crashes_smoke():
         result = run(argv)
         assert result.exit_code in (0, 1, 2)
         assert result.status in ("ok", "error")
+        assert result.payload.get("kind") != "internal"
         json.loads(result.to_json())

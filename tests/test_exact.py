@@ -82,6 +82,17 @@ def test_divmod_roundtrip(rng):
         assert r.is_zero or r.degree < g.degree
 
 
+def test_taylor_shift_matches_composition_oracle(rng):
+    for _ in range(100):
+        coeffs = rand_coeffs(rng, rng.randint(0, 8))
+        h = rand_fraction(rng)
+        expected = [Fraction(0)]
+        for c in reversed(coeffs):  # Horner on plain lists: acc * (x + h) + c
+            expected = convolve(expected, [h, Fraction(1)])
+            expected[0] += c
+        assert Polynomial(coeffs).taylor_shift(h) == Polynomial(expected)
+
+
 def test_rational_roots_paper_cases():
     assert rational_roots(Polynomial([-1, -6, 0, 8])) == []  # 8x^3 - 6x - 1
     assert rational_roots(Polynomial([-4, 0, 1])) == [-2, 2]

@@ -216,6 +216,7 @@ def test_classify_conic_canonical_families():
     assert classify_conic(0, 1, 0, 0, 0, 1) == ConicKind.HYPERBOLA  # xy = 1
     assert classify_conic(0, 0, 1, -4, 0, 0) == ConicKind.PARABOLA  # y^2 = 4x
     assert classify_conic(1, 0, 1, 0, 0, 1) == ConicKind.CIRCLE
+    assert classify_conic(-1, 0, -1, 0, 0, -1) == ConicKind.CIRCLE  # -x^2 - y^2 = -1
     assert classify_conic(1, 0, 1, 0, 0, 0) == ConicKind.DEGENERATE  # single point
     assert classify_conic(1, 0, 1, 0, 0, -1) == ConicKind.EMPTY
     assert classify_conic(1, 0, -1, 0, 0, 0) == ConicKind.DEGENERATE  # crossing lines
