@@ -16,7 +16,6 @@ from klasika import (
     ellipse_perimeter,
     factor_real,
     integrate_rational,
-    parametrize_conic,
     partial_fractions,
 )
 
@@ -53,5 +52,5 @@ print("  bracketed by pi(a+b) =", math.pi * (a + b), "and pi*sqrt(2(a^2+b^2)) ="
 conic = ConicParam("ellipse", a, b)
 print("\nrational parametrization samples (t, x(t), y(t)):")
 for t in (0.0, 0.5, 1.0, 3.0):
-    x, y = parametrize_conic(conic, t)
+    x, y = conic.point(t)
     print(f"  t={t:4.1f}  ({x:+.12f}, {y:+.12f})   on-curve residual {conic.implicit_residual(x, y):.1e}")

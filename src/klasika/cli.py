@@ -415,7 +415,7 @@ def _cmd_param(args, opts):
     b = _parse_float(args[2], "b")
     t = _parse_float(args[3], "t")
     conic = ratfun.ConicParam(kind, a, b)
-    x, y = ratfun.parametrize_conic(conic, t)
+    x, y = conic.point(t)
     residual = conic.implicit_residual(x, y)
     tol = opts.get("tol", 1e-10)
     payload = {

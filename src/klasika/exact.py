@@ -305,31 +305,42 @@ def _sign_variations(coeffs: Sequence) -> int:
     return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
-def _taylor_shift(coeffs: Sequence, h) -> list:
-    """The ascending coefficients of f(x + h), by repeated synthetic division."""
+def _taylor_shift(coeffs: Sequence, h, rounds: int | None = None) -> list:
+    """The ascending coefficients of f(x + h), by repeated synthetic division;
+    after k `rounds` only the first k of them are final."""
     a = list(coeffs)
     n = len(a) - 1
-    for i in range(n):
+    for i in range(n if rounds is None else min(rounds, n)):
         acc = a[n]
         for j in range(n - 1, i - 1, -1):
             acc = a[j] = a[j] + h * acc
     return a
 
 
-def _multiplicity(g: list[int], r: Fraction, most: int) -> int:
-    """How many times, up to `most`, q*x - p divides g over Z, for r = p/q."""
+def _taylor_coeffs(g: list[int], r: Fraction, k: int) -> list[Fraction]:
+    """The first k Taylor coefficients of g at r = p/s: k rounds of synthetic
+    division of s**n * g(y/s) by y - p over Z, then the i-th over s**(n-i)."""
+    g = g + [0] * (k - len(g))  # the coefficients past the degree are zero
+    p, s, n = r.numerator, r.denominator, len(g) - 1
+    powers = [s**i for i in range(n + 1)]
+    shifted = _taylor_shift([c * powers[n - i] for i, c in enumerate(g)], p, k)
+    return [Fraction(shifted[i], powers[n - i]) for i in range(k)]
+
+
+def _deflate(g: list[int], r: Fraction, most: int) -> tuple[int, list[int]]:
+    """(m, g / (q*x - p)**m) for the largest m <= `most` dividing g over Z, r = p/q."""
     p, q = r.numerator, r.denominator
     for m in range(most):
         out, carry = [], 0
         for c in reversed(g[1:]):  # synthetic division, top down
             carry, rem = divmod(c + p * carry, q)
             if rem:
-                return m
+                return m, g
             out.append(carry)
         if g[0] + p * carry:
-            return m
+            return m, g
         g = out[::-1]
-    return most
+    return most, g
 
 
 def _simplest_fraction(c: int, k: int, e: int) -> Fraction:
@@ -366,7 +377,7 @@ def _positive_root_candidates(g: list[int], an: int) -> list[Fraction]:
             # Descartes counts at least the roots inside, so a rational root
             # of multiplicity `variations` inside is all the node holds.
             r = _simplest_fraction(c, k, e)
-            if k >= limit or _multiplicity(g, r, variations) == variations:
+            if k >= limit or _deflate(g, r, variations)[0] == variations:
                 found.append(r)
                 continue
             left = [x << (len(h) - 1 - i) for i, x in enumerate(h)]
@@ -390,7 +401,7 @@ def _refine(g: list[int], c: int, k: int, e: int, limit: int, positive_at_left: 
     while k < limit:
         if not (c << e) * r.denominator < r.numerator << k < ((c + 1) << e) * r.denominator:
             r = _simplest_fraction(c, k, e)  # else r is still the simplest
-            if _multiplicity(g, r, 1):
+            if _deflate(g, r, 1)[0]:
                 return r
         k, mid, value = k + 1, (2 * c + 1) << e, 0
         for i in range(n, -1, -1):  # value = g(mid / 2**k) * 2**(k*n), by homogeneous Horner
@@ -420,5 +431,5 @@ def rational_roots(f: Polynomial) -> list[Fraction]:
     an = abs(ints[-1])
     for sign in (1, -1):  # the positive roots of g(x), then of g(-x)
         for r in set(_positive_root_candidates([c * sign**i for i, c in enumerate(ints)], an)):
-            roots += [sign * r] * _multiplicity(ints, sign * r, len(ints))
+            roots += [sign * r] * _deflate(ints, sign * r, len(ints))[0]
     return sorted(roots)

@@ -2,12 +2,17 @@
 rational parametrization of conics, and the ellipse's area and perimeter.
 
 The factorization step only uses what is exact here: rational roots are
-peeled off with multiplicity, and whatever remains is split into squarefree
-pieces; a piece is accepted only if it is a monic quadratic with negative
-discriminant.  Anything else (an irreducible-over-these-methods residual of
-degree >= 3, a quadratic with irrational real roots, or a repeated quadratic
-factor at the decomposition stage) fails cleanly with an error naming the
-offender, never with a silently wrong answer.
+divided out over Z with multiplicity, and whatever remains is split into
+squarefree pieces; a piece is accepted only if it is a monic quadratic with
+negative discriminant.  Anything else (an irreducible-over-these-methods
+residual of degree >= 3, such as two simple quadratics, a quadratic with
+irrational real roots, or a repeated quadratic factor at the decomposition
+stage) fails cleanly with an error naming the offender, never with a
+silently wrong answer.
+
+The decomposition solves no linear system: each coefficient is local to its
+factor (a Taylor coefficient at a rational root, a residue modulo a simple
+quadratic), so it costs O(n * sum m) for deg q = n and multiplicities m.
 
 Antiderivatives come out term by term:
 
@@ -27,10 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
-from .exact import Polynomial, RationalLike, _as_fraction, poly_gcd, rational_roots
-from .forms import solve_linear_system
+from .exact import Polynomial, _clear_denominators, _deflate, _taylor_coeffs
+from .exact import poly_gcd, rational_roots
+# Not called here; perfbench's layer tracer wraps this binding by name.
+from .forms import solve_linear_system  # noqa: F401
 
 __all__ = [
     "UnsupportedFactorizationError",
@@ -46,7 +53,6 @@ __all__ = [
     "factor_real",
     "partial_fractions",
     "integrate_rational",
-    "parametrize_conic",
     "ellipse_area",
     "ellipse_perimeter",
     "adaptive_simpson",
@@ -112,14 +118,14 @@ def factor_real(q: Polynomial) -> RealFactorization:
         return RealFactorization(constant, (), ())
     roots = rational_roots(q)
     linear: list[tuple[Fraction, int]] = []
-    residual = q.monic()
+    _, residual = _clear_denominators(q.coeffs)
     for root in sorted(set(roots)):
         mult = roots.count(root)
         linear.append((root, mult))
-        residual = residual // (Polynomial([-root, 1]) ** mult)
+        _, residual = _deflate(residual, root, mult)  # exact division by (s*x - p)**mult over Z
     quadratics: list[tuple[Fraction, Fraction, int]] = []
-    if residual.degree >= 1:
-        for piece, mult in _squarefree_decomposition(residual):
+    if len(residual) > 1:
+        for piece, mult in _squarefree_decomposition(Polynomial(residual)):
             if piece.degree == 2:
                 p, q0 = piece[1], piece[0]
                 if p * p - 4 * q0 < 0:
@@ -166,8 +172,28 @@ class PartialFractions:
         return num, den
 
 
+def _mod_quadratic(coeffs, p: Fraction, q: Fraction) -> tuple[Fraction, Fraction]:
+    """(u, v) with sum coeffs[i]*x^i = u*x + v mod x^2+p*x+q, by Horner."""
+    u = v = Fraction(0)
+    for c in reversed(coeffs):
+        u, v = v - p * u, c - q * u
+    return u, v
+
+
+def _mul_mod(f: tuple, g: tuple, p: Fraction, q: Fraction) -> tuple[Fraction, Fraction]:
+    """(a*x+b)*(c*x+d) mod x^2+p*x+q, for f = (a, b) and g = (c, d)."""
+    (a, b), (c, d) = f, g
+    return a * d + b * c - p * a * c, b * d - q * a * c
+
+
 def partial_fractions(p: Polynomial, q: Polynomial) -> PartialFractions:
-    """Exact decomposition of p/q by coefficient matching over Q."""
+    """Exact decomposition of p/q by local expansion at each factor of q.
+
+    With r = p mod q and q = (x-a)^m * h, A_k/(x-a)^k has A_(m-j) the j-th
+    Taylor coefficient of r/h at a: the series quotient of r's Taylor
+    coefficients 0..m-1 at a by q's m..2m-1, found over Z.  For a simple
+    quadratic factor Q, h = q/Q is q'/Q' mod Q, so B*x + C = r*Q'/q' mod Q.
+    """
     if q.is_zero:
         raise ZeroDivisionError("denominator is the zero polynomial")
     fact = factor_real(q)
@@ -179,45 +205,27 @@ def partial_fractions(p: Polynomial, q: Polynomial) -> PartialFractions:
     poly_part, rem = divmod(p, q)
     if rem.is_zero:
         return PartialFractions(poly_part, (), ())
-    # make the denominator the monic product of the factors
-    rem = rem * (1 / fact.constant)
-    monic_q = q.monic()
-
-    unknown_cols: list[Polynomial] = []
-    labels: list[tuple] = []
-    for root, mult in fact.linear_factors:
-        for power in range(1, mult + 1):
-            cofactor = monic_q // (Polynomial([-root, 1]) ** power)
-            unknown_cols.append(cofactor)
-            labels.append(("lin", root, power))
-    for pp, qq, _ in fact.quadratic_factors:
-        cofactor = monic_q // Polynomial([qq, pp, 1])
-        unknown_cols.append(cofactor * Polynomial([0, 1]))
-        labels.append(("quadB", pp, qq))
-        unknown_cols.append(cofactor)
-        labels.append(("quadC", pp, qq))
-
-    size = monic_q.degree
-    assert len(unknown_cols) == size
-    matrix = [[col[i] for col in unknown_cols] for i in range(size)]
-    rhs = [rem[i] for i in range(size)]
-    solution = solve_linear_system(matrix, rhs)
-
+    d_rem, rem_ints = _clear_denominators(rem.coeffs)
+    d_q, q_ints = _clear_denominators(q.coeffs)
+    scale = Fraction(d_q, d_rem)
     linear_terms = []
-    quad_parts: dict[tuple[Fraction, Fraction], dict[str, Fraction]] = {}
-    for value, label in zip(solution, labels):
-        if label[0] == "lin":
-            _, root, power = label
-            if value != 0:
-                linear_terms.append((value, root, power))
-        else:
-            kind, pp, qq = label
-            quad_parts.setdefault((pp, qq), {})[kind] = value
+    for root, mult in fact.linear_factors:
+        num = _taylor_coeffs(rem_ints, root, mult)
+        den = _taylor_coeffs(q_ints, root, 2 * mult)[mult:]
+        series: list[Fraction] = []
+        for j in range(mult):
+            acc = num[j] - sum(den[i] * series[j - i] for i in range(1, j + 1))
+            series.append(acc / den[0])
+        series.reverse()  # now series[k-1] is A_k
+        linear_terms += [(scale * a, root, k) for k, a in enumerate(series, 1) if a]
+
     quadratic_terms = []
-    for (pp, qq), parts in sorted(quad_parts.items()):
-        quadratic_terms.append(
-            (parts.get("quadB", Fraction(0)), parts.get("quadC", Fraction(0)), pp, qq)
-        )
+    for pp, qq, _ in fact.quadratic_factors:
+        du, dv = _mod_quadratic(q.derivative().coeffs, pp, qq)
+        numer = _mul_mod(_mod_quadratic(rem.coeffs, pp, qq), (2, pp), pp, qq)
+        b, c = _mul_mod(numer, (-du, dv - pp * du), pp, qq)
+        norm = dv * dv - pp * du * dv + qq * du * du  # (u*x+v)(-u*x+v-p*u) mod Q
+        quadratic_terms.append((b / norm, c / norm, pp, qq))
     return PartialFractions(poly_part, tuple(linear_terms), tuple(quadratic_terms))
 
 
@@ -468,10 +476,6 @@ class ConicParam:
             return abs(t1 - t2 - 1.0) / (1.0 + t1 + t2)
         t1, t2 = y * y, 4.0 * self.a * x
         return abs(t1 - t2) / (1.0 + abs(t1) + abs(t2))
-
-
-def parametrize_conic(conic: ConicParam, t: float) -> tuple[float, float]:
-    return conic.point(t)
 
 
 # -- ellipse area and perimeter ------------------------------------------------------

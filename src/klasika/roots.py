@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .disc import discriminant_resultant
+# Not called here; perfbench's layer tracer wraps this binding by name.
+from .disc import discriminant_resultant  # noqa: F401
 from .exact import Polynomial, _coeff_float
 
 __all__ = [
@@ -145,7 +146,7 @@ def solve_cubic_cardano(f: Polynomial) -> CubicRoots:
 
     ys = [u + v, _OMEGA * u + _OMEGA2 * v, _OMEGA2 * u + _OMEGA * v]
 
-    if discriminant_resultant(dep.poly) > 0:
+    if radicand < 0:  # the discriminant -108 * radicand is positive
         # all roots real: drop imaginary noise, then one Newton step each
         dp = dep.poly.derivative()
         fixed = []

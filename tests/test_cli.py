@@ -2,10 +2,15 @@ import json
 import random
 import string
 import time
+from fractions import Fraction
 
 import pytest
 
 from klasika.cli import run
+from klasika.exact import Polynomial
+from klasika.ratfun import factor_real, partial_fractions
+
+from conftest import expand_roots
 
 
 def out(argv):
@@ -113,6 +118,30 @@ def test_integrate_semiprime_denominator_is_answered():
     result = run(["integrate", "1", "/", f"{n},{n},1,1"])
     assert result.status == "ok"
     assert "ln|x+1|" in result.payload["antiderivative"]
+
+
+def _cap_denominator() -> str:
+    """The benchmark's degree-64 cap input: 24 distinct rational roots of
+    multiplicity 2 or 4."""
+    roots = [Fraction(k % 8 + 1, 1 + k // 32) * (1 if k % 16 < 8 else -1) for k in range(64)]
+    return ",".join(str(c) for c in expand_roots(roots))
+
+
+@pytest.mark.parametrize("command", ["partfrac", "integrate"])
+def test_degree_64_decomposition_is_fast(command):
+    argv = [command, "1", "/", _cap_denominator()]
+    t0 = time.perf_counter()
+    result = run(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert result.status == "ok"
+
+
+def test_degree_64_decomposition_recombines_exactly():
+    q = Polynomial.from_text(_cap_denominator())
+    assert sorted(m for _, m in factor_real(q).linear_factors) == [2] * 16 + [4] * 8
+    pf = partial_fractions(Polynomial([1]), q)
+    num, den = pf.recombine()
+    assert num * q == den  # 1/q, cross-multiplied
 
 
 def test_ngon_17_json_golden():

@@ -3,18 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from scipy.integrate import quad
 
 from klasika.exact import Polynomial, rational_roots
+from klasika.forms import solve_linear_system
 from klasika.ratfun import (
     ConicParam,
+    PartialFractions,
     UnsupportedFactorizationError,
     adaptive_simpson,
     ellipse_area,
     ellipse_perimeter,
     factor_real,
     integrate_rational,
-    parametrize_conic,
     partial_fractions,
 )
 
@@ -120,6 +122,180 @@ def test_partial_fractions_recombination_identity(rng):
         pf = partial_fractions(p, q)
         num, den = pf.recombine()
         assert num * q == p * den  # exact cross-multiplied identity
+
+
+# -- partial fractions: differential oracles ---------------------------------------------
+
+
+def coefficient_matching(p, q):
+    """The classical decomposition, kept as an oracle: one unknown per term,
+    its column the cofactor q/(x-r)^k, x*q/Q or q/Q, and one dense solve."""
+    fact = factor_real(q)
+    poly_part, rem = divmod(p, q)
+    if rem.is_zero:
+        return PartialFractions(poly_part, (), ())
+    rem = rem * (1 / fact.constant)
+    monic_q = q.monic()
+    cols, labels = [], []
+    for root, mult in fact.linear_factors:
+        for power in range(1, mult + 1):
+            cols.append(monic_q // Polynomial([-root, 1]) ** power)
+            labels.append((root, power))
+    for pp, qq, _ in fact.quadratic_factors:
+        cofactor = monic_q // Polynomial([qq, pp, 1])
+        cols += [cofactor * Polynomial([0, 1]), cofactor]
+    n = monic_q.degree
+    solution = solve_linear_system([[col[i] for col in cols] for i in range(n)], [rem[i] for i in range(n)])
+    linear = tuple((a, root, power) for a, (root, power) in zip(solution, labels) if a != 0)
+    rest = solution[len(labels):]
+    quadratic = tuple(
+        (rest[2 * i], rest[2 * i + 1], pp, qq) for i, (pp, qq, _) in enumerate(fact.quadratic_factors)
+    )
+    return PartialFractions(poly_part, linear, quadratic)
+
+
+def rand_root(rng):
+    if rng.random() < 0.25:  # large denominators, e.g. 7/64
+        return Fraction(rng.randint(-40, 40), rng.choice((7, 64, 81, 125, 1024)))
+    return rand_fraction(rng, -12, 12, 6)
+
+
+def rand_decomposable(rng, max_deg=24, max_quads=1):
+    """(lead, {root: multiplicity <= 4}, [(p, q)] with x^2+p*x+q irreducible):
+    up to max_quads distinct quadratics, total degree at most max_deg."""
+    lead = rand_fraction(rng, 1, 9, 4) * rng.choice((1, -1))
+    quads = set()
+    for _ in range(rng.choice(range(max_quads + 1))):
+        pp = rand_fraction(rng, -6, 6, 3)
+        quads.add((pp, pp * pp / 4 + rand_fraction(rng, 1, 9, 5)))
+    target = rng.randint(max(1, 2 * len(quads)), max_deg)
+    roots: dict[Fraction, int] = {}
+    while sum(roots.values()) + 2 * len(quads) < target:
+        left = target - sum(roots.values()) - 2 * len(quads)
+        roots.setdefault(rand_root(rng), min(rng.randint(1, 4), left))
+    return lead, roots, sorted(quads)
+
+
+def build(lead, roots, quads, drop_root=None, drop_quad=None):
+    """lead * prod (x-r)^m * prod Q, by multiplication only, leaving out
+    (x-r)^k for drop_root = (r, k) and Q for drop_quad = (p, q)."""
+    out = Polynomial([lead])
+    for r, m in roots.items():
+        out = out * Polynomial([-r, 1]) ** (m - drop_root[1] if drop_root and drop_root[0] == r else m)
+    for pq in quads:
+        if pq != drop_quad:
+            out = out * Polynomial([pq[1], pq[0], 1])
+    return out
+
+
+def rand_numerator(rng, q):
+    p = Polynomial([rand_fraction(rng) for _ in range(rng.randint(1, q.degree + 5))])
+    return p if not p.is_zero else Polynomial([1])
+
+
+def outcome(decompose, p, q):
+    try:
+        return decompose(p, q)
+    except UnsupportedFactorizationError as err:
+        return str(err), err.residual
+
+
+def test_partial_fractions_matches_coefficient_matching(rng):
+    refused = 0
+    for _ in range(150):
+        lead, roots, quads = rand_decomposable(rng, max_quads=2)
+        q = build(lead, roots, quads)
+        p = rand_numerator(rng, q)
+        got = outcome(partial_fractions, p, q)
+        assert got == outcome(coefficient_matching, p, q), (p, q)
+        # two simple quadratics reach the squarefree split as one quartic piece
+        if len(quads) == 2:
+            assert got[1] == build(1, {}, quads)
+            refused += 1
+    assert refused > 0
+
+
+def test_partial_fractions_recovers_planted_terms(rng):
+    """p is built from chosen terms, many of them zero; by uniqueness the
+    decomposition returns exactly the nonzero linear terms, and every
+    quadratic term, zero or not."""
+    for _ in range(60):
+        lead, roots, quads = rand_decomposable(rng)
+        q = build(lead, roots, quads)
+        poly_part = Polynomial([rand_fraction(rng) for _ in range(rng.randint(0, 3))])
+        p = poly_part * q
+        linear, quadratic = [], []
+        for r in sorted(roots):
+            for k in range(1, roots[r] + 1):
+                a = rand_fraction(rng) if rng.random() < 0.6 else Fraction(0)
+                p = p + a * build(lead, roots, quads, drop_root=(r, k))
+                if a != 0:
+                    linear.append((a, r, k))
+        for pq in quads:
+            b, c = [rand_fraction(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(2)]
+            p = p + Polynomial([c, b]) * build(lead, roots, quads, drop_quad=pq)
+            quadratic.append((b, c) + pq)
+        if p.is_zero:
+            continue
+        if not linear and all(t[:2] == (0, 0) for t in quadratic):
+            quadratic = []  # q divides p: no fractional part at all
+        pf = partial_fractions(p, q)
+        assert pf == PartialFractions(poly_part, tuple(linear), tuple(quadratic)), (p, q)
+
+
+def to_fraction(v) -> Fraction:
+    v = sympy.Rational(v)
+    return Fraction(int(v.p), int(v.q))
+
+
+def apart_terms(p, q):
+    """sympy's `apart` of p/q as (polynomial part, linear terms, quadratic terms),
+    each factor made monic so the terms compare with ours."""
+    x = sympy.Symbol("x")
+
+    def as_expr(f):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(f.coeffs))
+
+    poly_part, linear, quadratic = sympy.Integer(0), [], []
+    for term in sympy.Add.make_args(sympy.apart(as_expr(p) / as_expr(q), x)):
+        num, den = sympy.fraction(sympy.together(term))
+        if not den.has(x):
+            poly_part += term
+            continue
+        const, [(base, k)] = sympy.factor_list(den, x)
+        num = sympy.Poly(num, x) * (1 / (const * sympy.Poly(base, x).LC() ** k))
+        base = sympy.Poly(base, x).monic().all_coeffs()[::-1]
+        coeffs = [to_fraction(c) for c in num.all_coeffs()[::-1]] + [Fraction(0)]
+        if len(base) == 2:
+            linear.append((coeffs[0], -to_fraction(base[0]), k))
+        else:
+            quadratic.append((coeffs[1], coeffs[0], to_fraction(base[1]), to_fraction(base[0])))
+    poly_coeffs = sympy.Poly(poly_part, x).all_coeffs()[::-1]
+    return Polynomial([to_fraction(c) for c in poly_coeffs]), sorted(linear, key=lambda t: t[1:]), sorted(quadratic, key=lambda t: t[2:])
+
+
+def test_partial_fractions_against_sympy_apart(rng):
+    for _ in range(25):
+        lead, roots, quads = rand_decomposable(rng, max_deg=12)
+        q = build(lead, roots, quads)
+        p = rand_numerator(rng, q)
+        pf = partial_fractions(p, q)
+        poly_part, linear, quadratic = apart_terms(p, q)
+        assert pf.polynomial_part == poly_part
+        assert sorted(pf.linear_terms, key=lambda t: t[1:]) == linear
+        assert [t for t in pf.quadratic_terms if t[:2] != (0, 0)] == quadratic
+
+
+def test_partial_fractions_large_denominator_roots():
+    r, s = Fraction(7, 64), Fraction(-5, 1024)
+    q = Polynomial([-r, 1]) ** 3 * Polynomial([-64 * s, 64]) * Polynomial([3, 1, 1]) * Fraction(1, 3)
+    p = Polynomial([1, -2, 0, 5, 0, 0, 0, 0, 7])  # degree 8 > deg q = 6
+    pf = partial_fractions(p, q)
+    assert pf == coefficient_matching(p, q)
+    assert [t[1:] for t in pf.linear_terms] == [(s, 1), (r, 1), (r, 2), (r, 3)]
+    assert pf.polynomial_part.degree == 2
+    num, den = pf.recombine()
+    assert num * q == p * den
 
 
 # -- symbolic integration --------------------------------------------------------------
@@ -228,7 +404,7 @@ def test_differentiation_real_finite_difference_on_worked_example():
 
 def test_parametrize_ellipse_at_zero():
     conic = ConicParam("ellipse", 3.0, 2.0)
-    assert parametrize_conic(conic, 0.0) == (3.0, 0.0)
+    assert conic.point(0.0) == (3.0, 0.0)
 
 
 def test_parametrize_parabola_identity(rng):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from klasika.disc import discriminant_resultant
 from klasika.exact import Polynomial
 from klasika.roots import (
     depress,
@@ -110,6 +111,27 @@ def test_cardano_vieta(rng):
         scale = 1.0 + abs(want_sum) + abs(want_prod)
         assert abs(total - want_sum) < 1e-8 * scale
         assert abs(prod - want_prod) < 1e-8 * scale
+
+
+def test_cardano_discriminant_sign_is_minus_radicand_sign(rng):
+    """Cardano reads the sign of the depressed discriminant from its radicand:
+    for y^3 + a*y + b the resultant discriminant is -108 * (b^2/4 + a^3/27)."""
+    cubics = [Polynomial(rand_coeffs(rng, 3, lo=-20, hi=20, max_den=5)) for _ in range(300)]
+    for _ in range(100):  # three real roots, and double or triple ones
+        r1, r2 = rand_fraction(rng), rand_fraction(rng)
+        r3 = rng.choice((r1, r2, rand_fraction(rng)))
+        cubics.append(Polynomial([-r1, 1]) * Polynomial([-r2, 1]) * Polynomial([-r3, 1]))
+    signs = set()
+    for f in cubics:
+        dep = depress(f)
+        a, b = dep.poly[1], dep.poly[0]
+        radicand = b * b / 4 + a * a * a / 27
+        delta = discriminant_resultant(dep.poly)
+        assert delta == -108 * radicand
+        sign = (delta > 0) - (delta < 0)
+        assert sign == -((radicand > 0) - (radicand < 0))
+        signs.add(sign)
+    assert signs == {-1, 0, 1}
 
 
 def test_cardano_repeated_roots():
