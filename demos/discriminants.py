@@ -34,7 +34,7 @@ print("  discriminant:", discriminant_resultant(cubic))
 # The power sums S_k = sum of k-th powers of the roots come straight from
 # the coefficients by Newton's identities:
 print("\npower sums of x^2 - 3x + 2 (roots 1 and 2):")
-print("  S_0..S_4 =", list(power_sums(quadratic, 4).values))
+print("  S_0..S_4 =", list(power_sums(quadratic, 4)))
 
 # A degree-9 polynomial with repeated roots is *easier*, and the
 # discriminant sees that instantly:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import construct, disc, forms, ratfun, roots
-from .exact import Polynomial
+from .exact import Polynomial, _join_terms, _terms
 
 __all__ = ["CommandResult", "run", "main"]
 
@@ -198,23 +198,6 @@ def _cmd_depress(args, opts):
     return payload, human
 
 
-def _fmt_equation(pairs, rhs) -> str:
-    """Render c1*sym1 + c2*sym2 ... = rhs, skipping zero terms."""
-    out = ""
-    for coeff, sym in pairs:
-        if coeff == 0:
-            continue
-        mag = abs(coeff)
-        body = sym if mag == 1 else f"{mag}*{sym}"
-        if not out:
-            out = body if coeff > 0 else f"-{body}"
-        else:
-            out += f" + {body}" if coeff > 0 else f" - {body}"
-    if not out:
-        out = "0"
-    return f"{out} = {rhs}"
-
-
 def _cmd_classify_conic(args, opts):
     _need_args(args, 1, "classify-conic a,b,c,d,e,lambda")
     a, b, c, d, e, lam = _parse_fraction_list(args[0], 6, "classify-conic")
@@ -226,10 +209,8 @@ def _cmd_classify_conic(args, opts):
         "kind": kind.value,
         "quadratic_inertia": list(sig.as_tuple()),
     }
-    eq = _fmt_equation(
-        [(a, "x^2"), (b, "x*y"), (c, "y^2"), (d, "x"), (e, "y")], lam
-    )
-    human = f"{eq}:  {kind.value}"
+    lhs = _join_terms(_terms([(a, "x^2"), (b, "x*y"), (c, "y^2"), (d, "x"), (e, "y")]))
+    human = f"{lhs} = {lam}:  {kind.value}"
     return payload, human
 
 
@@ -364,11 +345,8 @@ def _cmd_partfrac(args, opts):
     if not pf.polynomial_part.is_zero:
         pieces.append(str(pf.polynomial_part))
     for a, root, power in pf.linear_terms:
-        if root == 0:
-            denom = "x" if power == 1 else f"x^{power}"
-        else:
-            base = f"(x-{root})" if root > 0 else f"(x+{-root})"
-            denom = base if power == 1 else f"{base}^{power}"
+        base = "x" if root == 0 else f"({ratfun._fmt_linear(root)})"
+        denom = base if power == 1 else f"{base}^{power}"
         pieces.append(f"({a})/{denom}")
     for b, c, pp, qq in pf.quadratic_terms:
         num = str(Polynomial([c, b]))

@@ -22,7 +22,6 @@ fraction-free (Bareiss) steps, whose divisions are all exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -30,7 +29,6 @@ from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators
 
 __all__ = [
     "SquareMatrix",
-    "PowerSums",
     "determinant",
     "sylvester_matrix",
     "resultant",
@@ -171,20 +169,7 @@ def resultant(f: Polynomial, g: Polynomial) -> Fraction:
     return determinant(sylvester_matrix(f, g))
 
 
-@dataclass(frozen=True)
-class PowerSums:
-    """S_0 ... S_m of the roots of a polynomial (S_0 is the degree)."""
-
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def power_sums(f: Polynomial, m: int) -> PowerSums:
+def power_sums(f: Polynomial, m: int) -> tuple[Fraction, ...]:
     """S_0 ... S_m from Newton's identities, never from the roots.
 
     With f made monic, the elementary symmetric function of order v is
@@ -208,7 +193,7 @@ def power_sums(f: Polynomial, m: int) -> PowerSums:
             term = sigma[v] * (v if v == k else s[k - v])
             acc += term if v % 2 == 1 else -term
         s.append(acc)
-    return PowerSums(tuple(s))
+    return tuple(s)
 
 
 def discriminant_resultant(f: Polynomial) -> Fraction:
@@ -231,7 +216,7 @@ def discriminant_hankel(f: Polynomial) -> Fraction:
     n = f.degree
     if f.is_zero or n < 2:
         raise ValueError("discriminant requires degree >= 2")
-    s = power_sums(f, 2 * n - 2).values
+    s = power_sums(f, 2 * n - 2)
     hankel = [[s[i + j] for j in range(n)] for i in range(n)]
     scale = f.leading_coefficient ** (2 * n - 2)
     return scale * determinant(hankel)

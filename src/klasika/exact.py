@@ -127,24 +127,7 @@ class Polynomial:
         return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                xpart = "x" if i == 1 else f"x^{i}"
-                body = xpart if mag == 1 else f"{mag}*{xpart}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return _join_terms(_poly_terms(self.coeffs))
 
     # -- ring arithmetic -------------------------------------------------------
 
@@ -278,6 +261,39 @@ class Polynomial:
             return float(total)
         except OverflowError:
             return math.inf
+
+
+def _terms(pairs: Iterable[tuple[Fraction | int, str]]) -> list[tuple[bool, str]]:
+    """(c > 0, body) for each nonzero coefficient c of a symbol, in order.
+
+    The body is c's magnitude times the symbol, with a unit magnitude left
+    out unless the symbol is "" (the constant term): 2*x, x, 1.
+    """
+    out = []
+    for c, symbol in pairs:
+        if c:
+            positive = c > 0
+            mag = c if positive else -c
+            body = str(mag) if not symbol else symbol if mag == 1 else f"{mag}*{symbol}"
+            out.append((positive, body))
+    return out
+
+
+def _poly_terms(coeffs: Sequence[Fraction]) -> list[tuple[bool, str]]:
+    """The signed terms of the polynomial with these coefficients, highest power first."""
+    return _terms(
+        (coeffs[i], f"x^{i}" if i > 1 else "x" if i else "") for i in range(len(coeffs) - 1, -1, -1)
+    )
+
+
+def _join_terms(terms: Sequence[tuple[bool, str]], empty: str = "0") -> str:
+    """Signed terms as one sum: a bare "-" on a negative first term, " + " or
+    " - " before each later one, and `empty` for no terms at all."""
+    if not terms:
+        return empty
+    (positive, body), rest = terms[0], terms[1:]
+    tail = "".join(f" + {b}" if p else f" - {b}" for p, b in rest)
+    return (body if positive else f"-{body}") + tail
 
 
 def _clear_denominators(values: Iterable[Fraction]) -> tuple[int, list[int]]:

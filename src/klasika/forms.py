@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .disc import SquareMatrix, _eliminate, determinant
 from .exact import Polynomial, RationalLike, _as_fraction, _sign_variations, rational_roots
-from .roots import solve_cubic_cardano, solve_quadratic
+from .roots import _newton, solve_cubic_cardano, solve_quadratic
 
 __all__ = [
     "BinaryForm",
@@ -466,16 +466,6 @@ def _float_null_vector(a: list[list[float]]) -> list[float]:
     return [x / nrm for x in best]
 
 
-def _newton_polish_real(p: Polynomial, x: float, steps: int = 3) -> float:
-    dp = p.derivative()
-    for _ in range(steps):
-        slope = dp(x)
-        if slope == 0.0:
-            break
-        x = x - p(x) / slope
-    return x
-
-
 def orthogonal_diagonalize(m: SymMatrix) -> Diagonalization:
     """Eigenvalues from the exact characteristic polynomial, eigenvectors
     from null spaces of M - lambda*I, orthonormalized per eigenspace.
@@ -517,8 +507,7 @@ def orthogonal_diagonalize(m: SymMatrix) -> Diagonalization:
             irr = [z.real for z in solve_quadratic(remaining)]
         else:
             irr = [z.real for z in solve_cubic_cardano(remaining).roots]
-        for lam_f in irr:
-            lam_f = _newton_polish_real(remaining, lam_f)
+        for lam_f in _newton(remaining, irr, 3):
             shifted = [
                 [float(m.rows[i][j]) - (lam_f if i == j else 0.0) for j in range(n)]
                 for i in range(n)

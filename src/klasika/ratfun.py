@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .exact import Polynomial, _clear_denominators, _deflate, _taylor_coeffs
-from .exact import poly_gcd, rational_roots
+from .exact import Polynomial, _clear_denominators, _deflate, _join_terms, _poly_terms
+from .exact import _taylor_coeffs, _terms, poly_gcd, rational_roots
 # Not called here; perfbench's layer tracer wraps this binding by name.
 from .forms import solve_linear_system  # noqa: F401
 
@@ -294,37 +294,13 @@ Term = Union[PolyTerm, LogAbs, PowerTerm, LogQuadratic, ArctanTerm]
 
 
 def _fmt_linear(root: Fraction) -> str:
-    if root == 0:
-        return "x"
-    if root > 0:
-        return f"x-{root}"
-    return f"x+{-root}"
+    """x - root without spaces: x, x-1/2, x+3."""
+    return _join_terms(_terms([(1, "x"), (-root, "")])).replace(" ", "")
 
 
 def _fmt_quadratic(p: Fraction, q: Fraction) -> str:
-    out = "x^2"
-    if p != 0:
-        xterm = "x" if abs(p) == 1 else f"{abs(p)}*x"
-        out += ("+" if p > 0 else "-") + xterm
-    if q != 0:
-        out += ("+" if q > 0 else "-") + str(abs(q))
-    return out
-
-
-def _fmt_poly(poly: Polynomial) -> str:
-    pieces = []
-    for i in range(len(poly.coeffs) - 1, -1, -1):
-        c = poly[i]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            xpart = "x" if i == 1 else f"x^{i}"
-            body = xpart if mag == 1 else f"{mag}*{xpart}"
-        pieces.append((c > 0, body))
-    return pieces
+    """x^2 + p*x + q without spaces: x^2+4, x^2-x+1."""
+    return _join_terms(_terms([(1, "x^2"), (p, "x"), (q, "")])).replace(" ", "")
 
 
 def _is_square(fr: Fraction) -> Fraction | None:
@@ -348,11 +324,11 @@ class SymbolicAntiderivative:
         pieces: list[tuple[bool, str]] = []
         for term in self.terms:
             if isinstance(term, PolyTerm):
-                pieces.extend(_fmt_poly(term.poly))
+                pieces += _poly_terms(term.poly.coeffs)
         for term in sorted(
             (t for t in self.terms if isinstance(t, LogAbs)), key=lambda t: t.root
         ):
-            pieces.append(self._coeff_body(term.coeff, f"ln|{_fmt_linear(term.root)}|"))
+            pieces += _terms([(term.coeff, f"ln|{_fmt_linear(term.root)}|")])
         for term in sorted(
             (t for t in self.terms if isinstance(t, PowerTerm)),
             key=lambda t: (t.root, -t.exponent),
@@ -364,45 +340,30 @@ class SymbolicAntiderivative:
         for term in sorted(
             (t for t in self.terms if isinstance(t, LogQuadratic)), key=lambda t: (t.p, t.q)
         ):
-            pieces.append(self._coeff_body(term.coeff, f"ln({_fmt_quadratic(term.p, term.q)})"))
+            pieces += _terms([(term.coeff, f"ln({_fmt_quadratic(term.p, term.q)})")])
         for term in sorted(
             (t for t in self.terms if isinstance(t, ArctanTerm)), key=lambda t: (t.p, t.q)
         ):
-            pieces.append(self._arctan_piece(term))
-        if not pieces:
-            return "K"
-        first_sign, first_body = pieces[0]
-        out = first_body if first_sign else f"-{first_body}"
-        for sign, body in pieces[1:]:
-            out += f" + {body}" if sign else f" - {body}"
-        return out + " + K"
+            pieces += self._arctan_terms(term)
+        return _join_terms(pieces + [(True, "K")])
 
     @staticmethod
-    def _coeff_body(coeff: Fraction, body: str) -> tuple[bool, str]:
-        mag = abs(coeff)
-        if mag == 1:
-            return coeff > 0, body
-        return coeff > 0, f"{mag}*{body}"
-
-    @staticmethod
-    def _arctan_piece(term: ArctanTerm) -> tuple[bool, str]:
+    def _arctan_terms(term: ArctanTerm) -> list[tuple[bool, str]]:
         s2 = term.scale_squared
         shift = term.shift
         s = _is_square(s2)
         if s is not None:
-            total = term.coeff / s
             if shift == 0:
                 arg = "x" if s == 1 else f"x/{s}"
             else:
                 inner = _fmt_linear(-shift)  # renders x + shift
                 arg = f"({inner})" if s == 1 else f"({inner})/{s}"
-            return SymbolicAntiderivative._coeff_body(total, f"arctan({arg})")
+            return _terms([(term.coeff / s, f"arctan({arg})")])
         root_txt = f"sqrt({s2})"
         inner = "x" if shift == 0 else _fmt_linear(-shift)
         arg = f"({inner})/{root_txt}"
         mag = abs(term.coeff)
-        coeff_txt = f"{mag}/{root_txt}"
-        return term.coeff > 0, f"{coeff_txt}*arctan({arg})"
+        return [(term.coeff > 0, f"{mag}/{root_txt}*arctan({arg})")]
 
 
 def integrate_rational(p: Polynomial, q: Polynomial) -> SymbolicAntiderivative:

@@ -15,7 +15,11 @@ Different admissible cube-root pairings would only permute the root labels.
 
 When the exact discriminant of the depressed cubic is positive all three
 roots are real, so imaginary parts below 1e-9 are dropped and each root gets
-one Newton step on the real axis to recover full accuracy.
+one Newton step on the real axis to recover full accuracy.  Every root is
+then shifted back and polished on the input itself by at most three complex
+Newton steps, taken only while its residual exceeds `residual_tolerance`.
+Both passes, and the eigenvalue polish in `forms`, run the one Newton loop
+`_newton`.
 """
 
 from __future__ import annotations
@@ -147,40 +151,42 @@ def solve_cubic_cardano(f: Polynomial) -> CubicRoots:
     ys = [u + v, _OMEGA * u + _OMEGA2 * v, _OMEGA2 * u + _OMEGA * v]
 
     if radicand < 0:  # the discriminant -108 * radicand is positive
-        # all roots real: drop imaginary noise, then one Newton step each
-        dp = dep.poly.derivative()
-        fixed = []
-        for y in ys:
-            yr = y.real if abs(y.imag) < 1e-9 else y
-            if isinstance(yr, float):
-                slope = dp(yr)
-                if slope != 0.0:
-                    yr = yr - dep.poly(yr) / slope
-                yr = complex(yr, 0.0)
-            fixed.append(yr)
-        ys = fixed
+        # all roots real: each with imaginary noise below 1e-9 drops it and
+        # takes one Newton step on the real axis
+        real = [i for i, y in enumerate(ys) if abs(y.imag) < 1e-9]
+        for i, x in zip(real, _newton(dep.poly, [ys[i].real for i in real], 1)):
+            ys[i] = complex(x, 0.0)
 
     shift = _coeff_float(dep.shift)
-    roots = [y - shift for y in ys]
     tol = residual_tolerance(f)
-    roots = [_polish(f, r, tol) for r in roots]
+    roots = _newton(f, [y - shift for y in ys], 3, tol)
     residuals = tuple(abs(f(r)) for r in roots)
     return CubicRoots(tuple(roots), residuals)
 
 
-def _polish(f: Polynomial, root: complex, tol: float) -> complex:
-    """A couple of complex Newton steps, only if the residual asks for it."""
-    if abs(f(root)) <= tol:
-        return root
-    df = f.derivative()
-    for _ in range(3):
-        slope = df(root)
-        if slope == 0:
-            break
-        root = root - f(root) / slope
-        if abs(f(root)) <= tol:
-            break
-    return root
+def _newton(f: Polynomial, xs: list, steps: int, tol: float | None = None) -> list:
+    """Each x of xs after up to `steps` Newton steps on f, real or complex as x is.
+
+    A point stops early at a zero slope and, given `tol`, once |f(x)| <= tol;
+    that test comes before each step, so a point that already meets `tol`
+    costs one evaluation of f.  The derivative is computed at most once per
+    call, and not at all when every point already meets `tol`.
+    """
+    df = None
+    out = []
+    for x in xs:
+        for _ in range(steps):
+            fx = f(x)
+            if tol is not None and abs(fx) <= tol:
+                break
+            if df is None:
+                df = f.derivative()
+            slope = df(x)
+            if slope == 0:
+                break
+            x = x - fx / slope
+        out.append(x)
+    return out
 
 
 def roots_of_unity(n: int) -> list[complex]:

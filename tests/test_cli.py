@@ -64,6 +64,27 @@ GOLDEN_HUMAN = {
     ("partfrac", "4,-1,2", "/", "0,4,0,1"): (
         "(2*x^2 - x + 4) / (x^3 + 4*x) = (1)/x + (x - 1)/(x^2 + 4)"
     ),
+    # term-rendering edge cases: shifted and sqrt-scaled arctan, a power term
+    # at a negative fractional root, a polynomial part beside ln|x| and 1/(x),
+    # a root 0 of power 2, unit and negative middle coefficients
+    ("integrate", "1", "/", "5,2,1"): (
+        "integral of (1) / (x^2 + 2*x + 5) dx = 1/2*arctan((x+1)/2) + K"
+    ),
+    ("integrate", "1", "/", "3,0,1"): (
+        "integral of (1) / (x^2 + 3) dx = 1/sqrt(3)*arctan((x)/sqrt(3)) + K"
+    ),
+    ("integrate", "1", "/", "1,4,4"): (
+        "integral of (1) / (4*x^2 + 4*x + 1) dx = -1/4/(x+1/2) + K"
+    ),
+    ("integrate", "1,0,0,1", "/", "0,0,1,2"): (
+        "integral of (x^3 + 1) / (2*x^3 + x^2) dx = "
+        "1/2*x + 7/4*ln|x+1/2| - 2*ln|x| - 1/(x) + K"
+    ),
+    ("partfrac", "1", "/", "0,0,1,2"): (
+        "(1) / (2*x^3 + x^2) = (2)/(x+1/2) + (-2)/x + (1)/x^2"
+    ),
+    ("classify-conic", "-1,1,-1,0,1,1"): "-x^2 + x*y - y^2 + y = 1:  Empty",
+    ("depress", "1,1,1,1"): "x^3 + x^2 + x + 1  ->  x^3 + 2/3*x + 20/27   (x = y - (1/3))",
     ("ellipse", "area", "2", "1"): "ellipse area (a=2, b=1): 6.28318530718",
     ("param", "parabola", "1", "1", "2"): "parabola(t=2) = (4, 4)   residual 0",
 }

@@ -136,6 +136,27 @@ def test_text_roundtrip():
         Polynomial.from_text("1,foo,2")
 
 
+def test_str_parses_back_to_the_polynomial(rng):
+    import sympy
+
+    x = sympy.Symbol("x")
+    units = [Fraction(0), Fraction(0), Fraction(1), Fraction(-1)]
+    for _ in range(400):
+        coeffs = [
+            rng.choice(units) if rng.random() < 0.5 else rand_fraction(rng, -30, 30, 12)
+            for _ in range(rng.randint(0, 8))
+        ]
+        f = Polynomial(coeffs)
+        text = str(f)
+        assert "+ -" not in text and "- -" not in text
+        parsed = sympy.sympify(text.replace("^", "**"), locals={"x": x})
+        expected = sum(
+            (sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(f.coeffs)),
+            sympy.Integer(0),
+        )
+        assert sympy.expand(parsed - expected) == 0, text
+
+
 def test_zero_polynomial_degree_sentinel():
     assert Polynomial().degree == float("-inf")
     assert Polynomial([0, 0]).degree == float("-inf")

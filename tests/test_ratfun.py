@@ -11,6 +11,7 @@ from klasika.forms import solve_linear_system
 from klasika.ratfun import (
     ConicParam,
     PartialFractions,
+    SymbolicAntiderivative,
     UnsupportedFactorizationError,
     adaptive_simpson,
     ellipse_area,
@@ -308,6 +309,7 @@ def test_integrate_worked_example_renders_canonically():
 
 def test_integrate_log_only():
     assert integrate_rational(Polynomial([1]), Polynomial([0, 1])).render() == "ln|x| + K"
+    assert SymbolicAntiderivative(()).render() == "K"
 
 
 def test_integrate_power_term_rendering():

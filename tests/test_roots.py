@@ -7,6 +7,7 @@ import pytest
 from klasika.disc import discriminant_resultant
 from klasika.exact import Polynomial
 from klasika.roots import (
+    _newton,
     depress,
     residual_tolerance,
     roots_of_unity,
@@ -141,6 +142,41 @@ def test_cardano_repeated_roots():
     out = solve_cubic_cardano(Polynomial([0, 0, 0, 5]))  # 5x^3
     for z in out.roots:
         assert abs(z) < 1e-12
+
+
+class CountingDerivative:
+    """A polynomial that counts how often its derivative is taken."""
+
+    def __init__(self, f):
+        self.f, self.derivatives = f, 0
+
+    def __call__(self, x):
+        return self.f(x)
+
+    def derivative(self):
+        self.derivatives += 1
+        return self.f.derivative()
+
+
+def test_newton_steps_stops_and_derivative_count():
+    f = Polynomial([-2, 0, 1])  # x^2 - 2
+    iterates, x = [], 1.0
+    for _ in range(3):
+        x = x - (x * x - 2) / (2 * x)
+        iterates.append(x)
+    assert _newton(f, [1.0], 3) == [iterates[2]]
+    assert _newton(f, [1.0], 1) == [iterates[0]]
+    # the residual test comes before each step: |f| at the second iterate is 1/144
+    assert _newton(f, [1.0], 3, tol=0.01) == [iterates[1]]
+    assert _newton(f, [0.0, 0.0j], 3) == [0.0, 0.0j]  # zero slope: no step
+    z = _newton(Polynomial([1, 0, 1]), [complex(0.1, 1.1)], 3)[0]
+    assert abs(z - 1j) < 1e-6
+
+    g = CountingDerivative(f)
+    assert _newton(g, [math.sqrt(2), -math.sqrt(2)], 3, tol=1e-12) == [math.sqrt(2), -math.sqrt(2)]
+    assert g.derivatives == 0  # points that meet tol need no derivative
+    _newton(g, [1.0, -1.0, 3.0], 3)
+    assert g.derivatives == 1  # once per call, shared by the points
 
 
 def test_cardano_rejects_other_degrees():
