@@ -286,11 +286,11 @@ def _poly_terms(coeffs: Sequence[Fraction]) -> list[tuple[bool, str]]:
     )
 
 
-def _join_terms(terms: Sequence[tuple[bool, str]], empty: str = "0") -> str:
+def _join_terms(terms: Sequence[tuple[bool, str]]) -> str:
     """Signed terms as one sum: a bare "-" on a negative first term, " + " or
-    " - " before each later one, and `empty` for no terms at all."""
+    " - " before each later one, and "0" for no terms at all."""
     if not terms:
-        return empty
+        return "0"
     (positive, body), rest = terms[0], terms[1:]
     tail = "".join(f" + {b}" if p else f" - {b}" for p, b in rest)
     return (body if positive else f"-{body}") + tail

@@ -333,10 +333,10 @@ class SymbolicAntiderivative:
             (t for t in self.terms if isinstance(t, PowerTerm)),
             key=lambda t: (t.root, -t.exponent),
         ):
-            k = -term.exponent
-            denom = f"({_fmt_linear(term.root)})" if k == 1 else f"({_fmt_linear(term.root)})^{k}"
-            mag = abs(term.coeff)
-            pieces.append((term.coeff > 0, f"{mag}/{denom}"))
+            if term.coeff:
+                k = -term.exponent
+                denom = f"({_fmt_linear(term.root)})" if k == 1 else f"({_fmt_linear(term.root)})^{k}"
+                pieces.append((term.coeff > 0, f"{abs(term.coeff)}/{denom}"))
         for term in sorted(
             (t for t in self.terms if isinstance(t, LogQuadratic)), key=lambda t: (t.p, t.q)
         ):
@@ -359,11 +359,12 @@ class SymbolicAntiderivative:
                 inner = _fmt_linear(-shift)  # renders x + shift
                 arg = f"({inner})" if s == 1 else f"({inner})/{s}"
             return _terms([(term.coeff / s, f"arctan({arg})")])
+        if not term.coeff:
+            return []
         root_txt = f"sqrt({s2})"
         inner = "x" if shift == 0 else _fmt_linear(-shift)
         arg = f"({inner})/{root_txt}"
-        mag = abs(term.coeff)
-        return [(term.coeff > 0, f"{mag}/{root_txt}*arctan({arg})")]
+        return [(term.coeff > 0, f"{abs(term.coeff)}/{root_txt}*arctan({arg})")]
 
 
 def integrate_rational(p: Polynomial, q: Polynomial) -> SymbolicAntiderivative:

@@ -9,8 +9,12 @@ from scipy.integrate import quad
 from klasika.exact import Polynomial, rational_roots
 from klasika.forms import solve_linear_system
 from klasika.ratfun import (
+    ArctanTerm,
     ConicParam,
+    LogAbs,
+    LogQuadratic,
     PartialFractions,
+    PowerTerm,
     SymbolicAntiderivative,
     UnsupportedFactorizationError,
     adaptive_simpson,
@@ -310,6 +314,17 @@ def test_integrate_worked_example_renders_canonically():
 def test_integrate_log_only():
     assert integrate_rational(Polynomial([1]), Polynomial([0, 1])).render() == "ln|x| + K"
     assert SymbolicAntiderivative(()).render() == "K"
+    zero, one = Fraction(0), Fraction(1)
+    zero_terms = (
+        LogAbs(zero, one),
+        PowerTerm(zero, zero, -1),
+        LogQuadratic(zero, zero, one),
+        ArctanTerm(zero, zero, one),
+        ArctanTerm(zero, zero, Fraction(3)),  # sqrt scale
+    )
+    for term in zero_terms:
+        assert SymbolicAntiderivative((term,)).render() == "K"
+        assert SymbolicAntiderivative((LogAbs(one, zero), term)).render() == "ln|x| + K"
 
 
 def test_integrate_power_term_rendering():
