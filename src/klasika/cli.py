@@ -168,7 +168,7 @@ def _cmd_solve(args, opts):
         zs, rs = list(pair), list(res)
     else:
         out = roots.solve_cubic_cardano(f)
-        tol = tol if tol is not None else roots.residual_tolerance(f)
+        tol = tol if tol is not None else out.tolerance
         zs, rs = list(out.roots), list(out.residuals)
     payload = {
         "command": "solve",

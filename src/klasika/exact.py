@@ -13,6 +13,8 @@ functions, so everything here is safe to share between threads.
 Text format (shared with the command line): coefficients ascending, comma
 separated, each entry an integer or ``p/q`` fraction.  ``-1,0,-6,8`` is the
 polynomial 8x^3 - 6x - 1.
+
+The gcd, the squarefree split and the rational-root search run over Z.
 """
 
 from __future__ import annotations
@@ -304,15 +306,80 @@ def _clear_denominators(values: Iterable[Fraction]) -> tuple[int, list[int]]:
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic greatest common divisor via the Euclidean algorithm over Q."""
+    """Monic greatest common divisor, by the primitive remainder sequence over Z."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not g.is_zero:
-        f, g = g, f % g
-    return f.monic()
+    ints = [_clear_denominators(p.coeffs)[1] for p in (f, g)]
+    return Polynomial(_gcd_z(*ints)).monic()
 
 
-# -- exact real-root isolation over Z, for the rational-root test --------------
+# -- gcd, squarefree split and rational roots over Z (integer lists, ascending) --
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """f over its content; the sign is kept."""
+    content = math.gcd(*f)
+    return [c // content for c in f]
+
+
+def _divide(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g when g divides f over Z (g nonzero, no trailing zeros), else None."""
+    rem, n, quot = list(f), len(g) - 1, []
+    for i in range(len(f) - 1 - n, -1, -1):  # long division, top down
+        c, r = divmod(rem[i + n], g[n])
+        if r:
+            return None
+        quot.append(c)
+        for j in range(n):
+            rem[i + j] -= c * g[j]
+    return None if any(rem[:n]) else quot[::-1]
+
+
+def _gcd_z(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd of f and g, not both zero: Brown's primitive remainder
+    sequence, whose every step keeps the primitive part of a pseudo-remainder."""
+    while g:
+        r, n = list(f), len(g) - 1
+        while len(r) > n:  # r <- g[n] * r - r[-1] * x**k * g: one pseudo-division step
+            c, k = r.pop(), len(r) - n
+            r = [g[n] * x for x in r]
+            for j in range(n):
+                r[k + j] -= c * g[j]
+        while r and r[-1] == 0:
+            r.pop()
+        f, g = g, _primitive(r)
+    return _primitive(f)
+
+
+def _squarefree(f: list[int]) -> list[list[int]]:
+    """Primitive squarefree A_1, A_2, ..., A_m (some of them constant) with
+    f = c * prod A_i**i, by Musser's repeated-gcd form of the squarefree
+    split; every division is exact."""
+    g = _gcd_z(f, [i * c for i, c in enumerate(f)][1:])  # prod A_i**(i-1)
+    w, pieces = _divide(f, g), []
+    while len(w) > 1:  # w = prod A_j over j >= i
+        y = _gcd_z(w, g)
+        pieces.append(_divide(w, y))
+        w, g = y, _divide(g, y)
+    return pieces
+
+
+def _rational_split(f: Polynomial) -> list[tuple[list[Fraction], list[int]]]:
+    """(roots_i, rest_i) for each squarefree piece A_i of f (f nonzero): the
+    rational roots of A_i, each of multiplicity i in f, and A_i with each of
+    them divided out once."""
+    split = []
+    for piece in _squarefree(_clear_denominators(f.coeffs)[1]):
+        roots = []
+        if piece[0] == 0:  # x divides at most one squarefree piece, once
+            roots, piece = [Fraction(0)], piece[1:]
+        for sign in (1, -1):  # the positive roots of the piece, then of its reflection
+            for r in _positive_root_candidates([c * sign**i for i, c in enumerate(piece)]):
+                if (quotient := _divide(piece, [-sign * r.numerator, r.denominator])) is not None:
+                    roots.append(sign * r)
+                    piece = quotient
+        split.append((sorted(roots), piece))
+    return split
 
 
 def _sign_variations(coeffs: Sequence) -> int:
@@ -343,22 +410,6 @@ def _taylor_coeffs(g: list[int], r: Fraction, k: int) -> list[Fraction]:
     return [Fraction(shifted[i], powers[n - i]) for i in range(k)]
 
 
-def _deflate(g: list[int], r: Fraction, most: int) -> tuple[int, list[int]]:
-    """(m, g / (q*x - p)**m) for the largest m <= `most` dividing g over Z, r = p/q."""
-    p, q = r.numerator, r.denominator
-    for m in range(most):
-        out, carry = [], 0
-        for c in reversed(g[1:]):  # synthetic division, top down
-            carry, rem = divmod(c + p * carry, q)
-            if rem:
-                return m, g
-            out.append(carry)
-        if g[0] + p * carry:
-            return m, g
-        g = out[::-1]
-    return most, g
-
-
 def _simplest_fraction(c: int, k: int, e: int) -> Fraction:
     """The least-denominator fraction in the open interval (c, c+1) * 2**e / 2**k,
     by continued fractions on (a/b, c/d); d == 0 stands for c/d = inf."""
@@ -370,7 +421,7 @@ def _simplest_fraction(c: int, k: int, e: int) -> Fraction:
     return Fraction((t + 1) * h1 + h0, (t + 1) * k1 + k0)
 
 
-def _positive_root_candidates(g: list[int], an: int) -> list[Fraction]:
+def _positive_root_candidates(g: list[int]) -> list[Fraction]:
     """Fractions among which are all positive rational roots of g (ascending, g[0] != 0).
 
     Collins-Akritas bisection on (0, 2**e): node (c, k) covers (c, c+1) * 2**e / 2**k
@@ -379,6 +430,7 @@ def _positive_root_candidates(g: list[int], an: int) -> list[Fraction]:
     narrower than 1/(2*an**2) holds at most one candidate: its simplest fraction.
     """
     # Fujiwara: every root is below 2 * max |g[n-i] / g[n]| ** (1/i) < 2**e
+    an = abs(g[-1])
     n, top = len(g) - 1, an.bit_length()
     steps = (-((top - 1 - abs(c).bit_length()) // (n - i)) for i, c in enumerate(g[:-1]))
     e = max(0, 1 + max(steps, default=-1))
@@ -390,11 +442,8 @@ def _positive_root_candidates(g: list[int], an: int) -> list[Fraction]:
         if variations == 1:
             found.append(_refine(g, c, k, e, limit, h[0] > 0))
         elif variations > 1:
-            # Descartes counts at least the roots inside, so a rational root
-            # of multiplicity `variations` inside is all the node holds.
-            r = _simplest_fraction(c, k, e)
-            if k >= limit or _deflate(g, r, variations)[0] == variations:
-                found.append(r)
+            if k >= limit:
+                found.append(_simplest_fraction(c, k, e))
                 continue
             left = [x << (len(h) - 1 - i) for i, x in enumerate(h)]
             right = _taylor_shift(left, 1)
@@ -417,7 +466,7 @@ def _refine(g: list[int], c: int, k: int, e: int, limit: int, positive_at_left: 
     while k < limit:
         if not (c << e) * r.denominator < r.numerator << k < ((c + 1) << e) * r.denominator:
             r = _simplest_fraction(c, k, e)  # else r is still the simplest
-            if _deflate(g, r, 1)[0]:
+            if _divide(g, [-r.numerator, r.denominator]) is not None:
                 return r
         k, mid, value = k + 1, (2 * c + 1) << e, 0
         for i in range(n, -1, -1):  # value = g(mid / 2**k) * 2**(k*n), by homogeneous Horner
@@ -431,21 +480,12 @@ def _refine(g: list[int], c: int, k: int, e: int, limit: int, positive_at_left: 
 def rational_roots(f: Polynomial) -> list[Fraction]:
     """All rational roots of f, with multiplicity, sorted ascending.
 
-    With denominators and content cleared to g over Z, a root p/q in lowest
-    terms has q | an, the leading coefficient.  Exact Descartes bisection on
-    g(x) and g(-x) narrows each real root to an interval below 1/(2*an**2),
-    whose simplest fraction is the one candidate; exact division over Z
-    checks it and counts its multiplicity.  No integer is factored.
+    f is split over Z into squarefree pieces; a root of the i-th has
+    multiplicity i and, in lowest terms p/q, q | an, its leading coefficient.
+    Exact Descartes bisection narrows each real root to an interval below
+    1/(2*an**2), whose simplest fraction is the one candidate; exact
+    division over Z checks it.  No integer is factored.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every number as a root")
-    _, ints = _clear_denominators(f.coeffs)
-    zeros = next(i for i, c in enumerate(ints) if c)
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints[zeros:]]
-    roots = [Fraction(0)] * zeros
-    an = abs(ints[-1])
-    for sign in (1, -1):  # the positive roots of g(x), then of g(-x)
-        for r in set(_positive_root_candidates([c * sign**i for i, c in enumerate(ints)], an)):
-            roots += [sign * r] * _deflate(ints, sign * r, len(ints))[0]
-    return sorted(roots)
+    return sorted(r for i, (roots, _) in enumerate(_rational_split(f), 1) for r in roots * i)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .disc import SquareMatrix, _eliminate, determinant
-from .exact import Polynomial, RationalLike, _as_fraction, _sign_variations, rational_roots
+from .exact import Polynomial, RationalLike, _as_fraction, _rational_split, _sign_variations
 from .roots import _newton, solve_cubic_cardano, solve_quadratic
 
 __all__ = [
@@ -480,26 +480,21 @@ def orthogonal_diagonalize(m: SymMatrix) -> Diagonalization:
         raise ValueError("orthogonal diagonalization supports 2x2 and 3x3 only")
     n = m.n
     p = char_poly(m)
-    rats = rational_roots(p)
+    split = _rational_split(p)
     pairs: list[tuple[float, list[list[float]]]] = []
 
-    seen = []
-    for lam in rats:
-        if lam in seen:
-            continue
-        seen.append(lam)
+    rational = sorted((lam, mult) for mult, (rats, _) in enumerate(split, 1) for lam in rats)
+    for lam, mult in rational:
         shifted = [
             [m.rows[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)
         ]
         basis = rational_nullspace(shifted)
-        assert len(basis) == rats.count(lam)
+        assert len(basis) == mult
         floats = _orthonormalize([[float(x) for x in vec] for vec in basis])
         for vec in floats:
             pairs.append((float(lam), [vec]))
 
-    remaining = p
-    for lam in rats:
-        remaining = remaining // Polynomial([-lam, 1])
+    remaining = Polynomial(split[0][1]).monic()  # the irrational eigenvalues are simple
     if remaining.degree >= 1:
         if remaining.degree == 1:
             raise ArithmeticError("linear factor should have produced a rational root")

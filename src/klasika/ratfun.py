@@ -1,14 +1,14 @@
 """Partial fractions over Q, symbolic integration of rational functions,
 rational parametrization of conics, and the ellipse's area and perimeter.
 
-The factorization step only uses what is exact here: rational roots are
-divided out over Z with multiplicity, and whatever remains is split into
-squarefree pieces; a piece is accepted only if it is a monic quadratic with
-negative discriminant.  Anything else (an irreducible-over-these-methods
-residual of degree >= 3, such as two simple quadratics, a quadratic with
-irrational real roots, or a repeated quadratic factor at the decomposition
-stage) fails cleanly with an error naming the offender, never with a
-silently wrong answer.
+The factorization step only uses what is exact here: one pass over Z splits
+q into squarefree pieces, the i-th holding the roots of multiplicity i, and
+divides each piece's rational roots out once; what is left of a piece is
+accepted only if constant or a quadratic with negative discriminant.
+Anything else (an irreducible-over-these-methods residual of degree >= 3,
+such as two simple quadratics, a quadratic with irrational real roots, or a
+repeated quadratic factor at the decomposition stage) fails cleanly with an
+error naming the offender, never with a silently wrong answer.
 
 The decomposition solves no linear system: each coefficient is local to its
 factor (a Taylor coefficient at a rational root, a residue modulo a simple
@@ -34,9 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .exact import Polynomial, _clear_denominators, _deflate, _join_terms, _poly_terms
-from .exact import _taylor_coeffs, _terms, poly_gcd, rational_roots
-# Not called here; perfbench's layer tracer wraps this binding by name.
+from .exact import Polynomial, _clear_denominators, _join_terms, _poly_terms, _rational_split
+from .exact import _taylor_coeffs, _terms
+# Not called here; perfbench's layer tracer wraps these bindings by name.
+from .exact import rational_roots  # noqa: F401
 from .forms import solve_linear_system  # noqa: F401
 
 __all__ = [
@@ -88,23 +89,6 @@ class RealFactorization:
         return out
 
 
-def _squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun's algorithm over Q: f = prod A_i^i with the A_i squarefree, monic."""
-    parts: list[tuple[Polynomial, int]] = []
-    g = poly_gcd(f, f.derivative()) if f.degree >= 1 else Polynomial([1])
-    w = f.monic() // g
-    i = 1
-    while w.degree >= 1:
-        y = poly_gcd(w, g)
-        factor = w // y
-        if factor.degree >= 1:
-            parts.append((factor.monic(), i))
-        w = y
-        g = g // y
-        i += 1
-    return parts
-
-
 def factor_real(q: Polynomial) -> RealFactorization:
     """Factor q over Q into linear and irreducible quadratic pieces.
 
@@ -113,34 +97,24 @@ def factor_real(q: Polynomial) -> RealFactorization:
     """
     if q.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    constant = q.leading_coefficient
-    if q.degree == 0:
-        return RealFactorization(constant, (), ())
-    roots = rational_roots(q)
     linear: list[tuple[Fraction, int]] = []
-    _, residual = _clear_denominators(q.coeffs)
-    for root in sorted(set(roots)):
-        mult = roots.count(root)
-        linear.append((root, mult))
-        _, residual = _deflate(residual, root, mult)  # exact division by (s*x - p)**mult over Z
     quadratics: list[tuple[Fraction, Fraction, int]] = []
-    if len(residual) > 1:
-        for piece, mult in _squarefree_decomposition(Polynomial(residual)):
-            if piece.degree == 2:
-                p, q0 = piece[1], piece[0]
-                if p * p - 4 * q0 < 0:
-                    quadratics.append((p, q0, mult))
-                    continue
-                raise UnsupportedFactorizationError(
-                    f"residual quadratic {piece} has irrational real roots", piece
-                )
+    for mult, (roots, rest) in enumerate(_rational_split(q), 1):
+        linear += [(root, mult) for root in roots]
+        piece = Polynomial(rest).monic()
+        if piece.degree == 2 and piece[1] ** 2 - 4 * piece[0] < 0:
+            quadratics.append((piece[1], piece[0], mult))
+        elif piece.degree == 2:
+            raise UnsupportedFactorizationError(
+                f"residual quadratic {piece} has irrational real roots", piece
+            )
+        elif piece.degree > 2:
             raise UnsupportedFactorizationError(
                 f"residual factor {piece} of degree {piece.degree} has no rational root "
                 "and is not an irreducible quadratic",
                 piece,
             )
-    quadratics.sort(key=lambda t: (t[0], t[1]))
-    return RealFactorization(constant, tuple(linear), tuple(quadratics))
+    return RealFactorization(q.leading_coefficient, tuple(sorted(linear)), tuple(sorted(quadratics)))
 
 
 # -- partial fractions ---------------------------------------------------------------

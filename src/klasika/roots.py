@@ -63,6 +63,7 @@ class DepressedPolynomial:
 class CubicRoots:
     roots: tuple[complex, complex, complex]
     residuals: tuple[float, float, float]
+    tolerance: float  # residual_tolerance(f), the bound the polishing aimed at
 
 
 def residual_tolerance(f: Polynomial) -> float:
@@ -161,7 +162,7 @@ def solve_cubic_cardano(f: Polynomial) -> CubicRoots:
     tol = residual_tolerance(f)
     roots = _newton(f, [y - shift for y in ys], 3, tol)
     residuals = tuple(abs(f(r)) for r in roots)
-    return CubicRoots(tuple(roots), residuals)
+    return CubicRoots(tuple(roots), residuals, tol)
 
 
 def _newton(f: Polynomial, xs: list, steps: int, tol: float | None = None) -> list:

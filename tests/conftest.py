@@ -10,6 +10,15 @@ from fractions import Fraction
 
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # the `test` extra installs it; without it the modules that need it fail alone
+    pass
+else:
+    # the same examples on every run, and no example database on disk
+    settings.register_profile("derandomized", derandomize=True, database=None)
+    settings.load_profile("derandomized")
+
 
 def rand_fraction(rng: random.Random, lo=-9, hi=9, max_den=4) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from klasika.cli import run
-from klasika.exact import Polynomial
+from klasika.exact import Polynomial, poly_gcd, rational_roots
 from klasika.ratfun import factor_real, partial_fractions
+from klasika.roots import residual_tolerance, solve_cubic_cardano
 
 from conftest import expand_roots
 
@@ -103,6 +104,9 @@ def test_golden_solve_structure():
     got = sorted(tuple(z) for z in result.payload["roots"])
     assert got == [(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]
     assert result.payload["within_tolerance"] is True
+    assert result.payload["tolerance"] == residual_tolerance(Polynomial([-6, 11, -6, 1]))
+    assert solve_cubic_cardano(Polynomial([-6, 11, -6, 1])).tolerance == result.payload["tolerance"]
+    assert out(["--tol", "0.5", "solve", "-6,11,-6,1"]).payload["tolerance"] == 0.5
 
 
 def test_golden_diagonalize_structure():
@@ -163,6 +167,37 @@ def test_degree_64_decomposition_recombines_exactly():
     pf = partial_fractions(Polynomial([1]), q)
     num, den = pf.recombine()
     assert num * q == den  # 1/q, cross-multiplied
+
+
+def test_degree_64_refusal_is_fast():
+    # 64 one-digit coefficients and a leading 3: no rational root, squarefree,
+    # so the whole denominator is the residual that is refused
+    rng = random.Random(64)
+    coeffs = ",".join(str(rng.randint(0, 9)) for _ in range(64)) + ",3"
+    t0 = time.perf_counter()
+    result = run(["partfrac", "1", "/", coeffs])
+    assert time.perf_counter() - t0 < 0.5
+    assert result.exit_code == 1
+    q = Polynomial.from_text(coeffs).monic()
+    assert result.human_text == (
+        f"error: residual factor {q} of degree 64 has no rational root and is not an irreducible quadratic"
+    )
+
+
+def test_repeated_irrational_cluster_roots_are_fast():
+    m = 10**30 + 57
+    f = Polynomial([-2, 0, 1]) ** 31 * Polynomial([-1, m])  # (x^2 - 2)^31 * (m*x - 1)
+    t0 = time.perf_counter()
+    assert rational_roots(f) == [Fraction(1, m)]
+    assert time.perf_counter() - t0 < 0.2
+
+
+def test_degree_64_gcd_is_fast():
+    rng = random.Random(64)
+    f = Polynomial([rng.randint(-100, 100) for _ in range(64)] + [97])
+    t0 = time.perf_counter()
+    assert poly_gcd(f, f.derivative()) == Polynomial([1])
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_ngon_17_json_golden():

@@ -56,11 +56,41 @@ def test_gcd_basics():
         poly_gcd(Polynomial(), Polynomial())
 
 
+def sympy_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """sympy's gcd over Q, made monic."""
+    import sympy
+
+    x = sympy.Symbol("x")
+
+    def as_poly(p: Polynomial):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)] or [0], x, domain="QQ")
+
+    d = sympy.gcd(as_poly(f), as_poly(g)).monic()
+    return Polynomial([Fraction(int(c.p), int(c.q)) for c in reversed(d.all_coeffs())])
+
+
 def test_gcd_divides_both_exactly(rng):
-    for _ in range(60):
-        f = Polynomial(rand_coeffs(rng, rng.randint(1, 5)))
-        g = Polynomial(rand_coeffs(rng, rng.randint(1, 5)))
+    pairs = []
+    for _ in range(60):  # mostly coprime pairs
+        pairs.append((rand_coeffs(rng, rng.randint(1, 5)), rand_coeffs(rng, rng.randint(1, 5))))
+    for _ in range(60):  # a planted common factor up to degree 24, degree gaps up to 12
+        common = rand_coeffs(rng, rng.randint(1, 12))
+        f, g = rand_coeffs(rng, rng.randint(0, 12)), rand_coeffs(rng, rng.randint(0, 2))
+        pairs.append((convolve(common, f), convolve(common, g)))
+    for _ in range(20):  # negative, non-unit and fractional leading coefficients, repeated factors
+        lead = Fraction(rng.choice([-1, 1]) * rng.randint(2, 9), rng.randint(1, 5))
+        f = [c * lead for c in expand_roots([rand_fraction(rng)] * rng.randint(1, 4) + [rand_fraction(rng)])]
+        pairs.append((f, Polynomial(f).derivative().coeffs))
+    pairs += [  # constants and one zero operand
+        ([Fraction(3)], [Fraction(5)]),
+        ([Fraction(-2, 3)], [Fraction(1), Fraction(1)]),
+        ([], [Fraction(-4), Fraction(2)]),
+        ([Fraction(0), Fraction(0), Fraction(-3, 2)], []),
+    ]
+    for fs, gs in pairs:
+        f, g = Polynomial(fs), Polynomial(gs)
         d = poly_gcd(f, g)
+        assert d == sympy_gcd(f, g) == poly_gcd(g, f)
         assert f % d == Polynomial()
         assert g % d == Polynomial()
 
