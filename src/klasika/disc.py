@@ -1,18 +1,23 @@
 """Polynomial discriminants computed two independent ways.
 
-The resultant route: Delta_f = (-1)^(n(n-1)/2) * Res(f, f') / a_n, with the
-resultant taken as the determinant of the (2n-1) x (2n-1) Sylvester matrix,
-so the value comes straight from the coefficients without ever touching the
-roots.
+The resultant route: Delta_f = (-1)^(n(n-1)/2) * Res(f, f') / a_n.  The
+resultant is the determinant of the (2n-1) x (2n-1) Sylvester matrix, but it
+is computed as the last term of Collins' subresultant remainder sequence over
+Z: each subresultant is itself the determinant of a Sylvester submatrix, so
+every division in the sequence is exact, the coefficients grow only linearly,
+and the value still comes straight from the coefficients without ever
+touching the roots.  Denominators are cleared once, before the sequence.
 
 The power-sum route: for monic f the same quantity equals the determinant of
 the n x n Hankel matrix whose (i, j) entry is S_(i+j), where the power sums
 S_k of the roots are produced by Newton's identities from the coefficients
-alone.  The sign factor (-1)^(n(n-1)/2) relating the product over ordered
-pairs of root differences to the squared product over unordered pairs
-appears twice between the two derivations and therefore cancels: for monic
-input the two routes agree exactly, and a non-monic leading coefficient only
-contributes the factor a_n^(2n-2).
+alone.  The identities run over Z on a^k * S_k, for a the leading coefficient
+of f with its denominators cleared, and the Hankel matrix of those integers
+goes to the Bareiss determinant.  The sign factor (-1)^(n(n-1)/2) relating
+the product over ordered pairs of root differences to the squared product
+over unordered pairs appears twice between the two derivations and therefore
+cancels: for monic input the two routes agree exactly, and a non-monic
+leading coefficient only contributes the factor a_n^(2n-2).
 
 Everything is exact over the rationals.  Determinants, and the linear
 solves and null spaces of `forms`, share one elimination: each row is
@@ -25,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators
+from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, _resultant_z
 
 __all__ = [
     "SquareMatrix",
@@ -146,13 +151,18 @@ def determinant(m: SquareMatrix | Sequence[Sequence[RationalLike]]) -> Fraction:
     return Fraction(a[-1][-1], scale)
 
 
-def sylvester_matrix(f: Polynomial, g: Polynomial) -> SquareMatrix:
-    """The (deg f + deg g) square Sylvester matrix of f and g."""
-    n, m = f.degree, g.degree
+def _sylvester_degrees(f: Polynomial, g: Polynomial) -> tuple[int, int]:
+    """(deg f, deg g), for the pairs that have a Sylvester matrix."""
     if f.is_zero or g.is_zero:
         raise ValueError("Sylvester matrix requires nonzero polynomials")
-    if n + m == 0:
+    if f.degree + g.degree == 0:
         raise ValueError("Sylvester matrix requires deg f + deg g >= 1")
+    return f.degree, g.degree
+
+
+def sylvester_matrix(f: Polynomial, g: Polynomial) -> SquareMatrix:
+    """The (deg f + deg g) square Sylvester matrix of f and g."""
+    n, m = _sylvester_degrees(f, g)
     size = n + m
     fs = list(reversed(f.coeffs))
     gs = list(reversed(g.coeffs))
@@ -166,7 +176,30 @@ def sylvester_matrix(f: Polynomial, g: Polynomial) -> SquareMatrix:
 
 
 def resultant(f: Polynomial, g: Polynomial) -> Fraction:
-    return determinant(sylvester_matrix(f, g))
+    """Res(f, g) = det(sylvester_matrix(f, g)), by the subresultant remainder
+    sequence of F = d_f * f and G = d_g * g over Z:
+    Res(f, g) = Res(F, G) / (d_f**deg g * d_g**deg f)."""
+    n, m = _sylvester_degrees(f, g)
+    d_f, big_f = _clear_denominators(f.coeffs)
+    d_g, big_g = _clear_denominators(g.coeffs)
+    return Fraction(_resultant_z(big_f, big_g), d_f**m * d_g**n)
+
+
+def _power_sums_z(f: list[int], m: int) -> list[int]:
+    """T_0 ... T_m with T_k = a**k * S_k, for f over Z with leading coefficient a.
+
+    Newton's identities for the monic f / a, times a**k, stay over Z:
+    T_k = -sum_(v=1..min(k, n)) f[n-v] * a**(v-1) * (k if v == k else T_(k-v)).
+    """
+    n, a = len(f) - 1, f[-1]
+    c = [0] + [f[n - v] * a ** (v - 1) for v in range(1, n + 1)]
+    t = [n]
+    for k in range(1, m + 1):
+        acc = k * c[k] if k <= n else 0
+        for v in range(1, min(k, n + 1)):
+            acc += c[v] * t[k - v]
+        t.append(-acc)
+    return t
 
 
 def power_sums(f: Polynomial, m: int) -> tuple[Fraction, ...]:
@@ -175,25 +208,15 @@ def power_sums(f: Polynomial, m: int) -> tuple[Fraction, ...]:
     With f made monic, the elementary symmetric function of order v is
     sigma_v = (-1)^v a_(n-v); the identities then give every S_k by the
     recurrence S_k = sigma_1 S_(k-1) - sigma_2 S_(k-2) + ...  (with the extra
-    k*sigma_k term while k <= n).
+    k*sigma_k term while k <= n).  They run over Z on a**k * S_k.
     """
     if f.is_zero:
         raise ValueError("power sums of the zero polynomial are undefined")
     if m < 0:
         raise ValueError("m must be >= 0")
-    g = f.monic()
-    n = g.degree
-    sigma = [Fraction(0)] * (n + 1)
-    for v in range(1, n + 1):
-        sigma[v] = (-1) ** v * g[n - v]
-    s = [Fraction(n)]
-    for k in range(1, m + 1):
-        acc = Fraction(0)
-        for v in range(1, min(k, n) + 1):
-            term = sigma[v] * (v if v == k else s[k - v])
-            acc += term if v % 2 == 1 else -term
-        s.append(acc)
-    return tuple(s)
+    ints = _clear_denominators(f.coeffs)[1]
+    a = ints[-1]
+    return tuple(Fraction(t, a**k) for k, t in enumerate(_power_sums_z(ints, m)))
 
 
 def discriminant_resultant(f: Polynomial) -> Fraction:
@@ -212,14 +235,17 @@ def discriminant_hankel(f: Polynomial) -> Fraction:
     det [S_(i+j)] for the monic form of f equals the squared product of root
     differences over unordered pairs, which is exactly the discriminant of
     the monic polynomial; the leading coefficient re-enters as a_n^(2n-2).
+    Over Z, with F = d * f and a its leading coefficient, the entries are
+    T_(i+j) = a**(i+j) * S_(i+j), so det [S_(i+j)] = det [T_(i+j)] / a**(n(n-1))
+    and the discriminant is det [T_(i+j)] / (a**((n-1)(n-2)) * d**(2n-2)).
     """
     n = f.degree
     if f.is_zero or n < 2:
         raise ValueError("discriminant requires degree >= 2")
-    s = power_sums(f, 2 * n - 2)
-    hankel = [[s[i + j] for j in range(n)] for i in range(n)]
-    scale = f.leading_coefficient ** (2 * n - 2)
-    return scale * determinant(hankel)
+    d, ints = _clear_denominators(f.coeffs)
+    t = _power_sums_z(ints, 2 * n - 2)
+    hankel = [t[i : i + n] for i in range(n)]
+    return determinant(hankel) / (ints[-1] ** ((n - 1) * (n - 2)) * d ** (2 * n - 2))
 
 
 def has_repeated_roots(f: Polynomial) -> bool:

@@ -14,7 +14,8 @@ Text format (shared with the command line): coefficients ascending, comma
 separated, each entry an integer or ``p/q`` fraction.  ``-1,0,-6,8`` is the
 polynomial 8x^3 - 6x - 1.
 
-The gcd, the squarefree split and the rational-root search run over Z.
+The gcd, the resultant, the squarefree split and the rational-root search
+run over Z.
 """
 
 from __future__ import annotations
@@ -48,6 +49,15 @@ def _coeff_float(c: Fraction) -> float:
         return float(c)
     except OverflowError:
         raise ValueError("coefficient magnitude exceeds the double-precision range") from None
+
+
+def _horner_float(coeffs: Sequence[float], x):
+    """The polynomial with these float coefficients (ascending) at float or
+    complex x, by Horner's rule from a zero of x's type."""
+    acc = 0.0 if not isinstance(x, complex) else complex(0.0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 class Polynomial:
@@ -236,10 +246,7 @@ class Polynomial:
             for c in reversed(self.coeffs):
                 acc = acc * x + c
             return acc
-        acc = 0.0 if not isinstance(x, complex) else complex(0.0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + _coeff_float(c)
-        return acc
+        return _horner_float([_coeff_float(c) for c in self.coeffs], x)
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
@@ -335,20 +342,58 @@ def _divide(f: list[int], g: list[int]) -> list[int] | None:
     return None if any(rem[:n]) else quot[::-1]
 
 
+def _prem(f: list[int], g: list[int]) -> list[int]:
+    """The pseudo-remainder of f by g (g nonzero, no trailing zeros), trimmed:
+    g[-1]**(deg f - deg g + 1) * f mod g, or f itself when deg f < deg g."""
+    r, n = list(f), len(g) - 1
+    while len(r) > n:  # r <- g[n] * r - r[-1] * x**k * g: one pseudo-division step
+        c, k = r.pop(), len(r) - n
+        r = [g[n] * x for x in r]
+        for j in range(n):
+            r[k + j] -= c * g[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
 def _gcd_z(f: list[int], g: list[int]) -> list[int]:
     """Primitive gcd of f and g, not both zero: Brown's primitive remainder
     sequence, whose every step keeps the primitive part of a pseudo-remainder."""
     while g:
-        r, n = list(f), len(g) - 1
-        while len(r) > n:  # r <- g[n] * r - r[-1] * x**k * g: one pseudo-division step
-            c, k = r.pop(), len(r) - n
-            r = [g[n] * x for x in r]
-            for j in range(n):
-                r[k + j] -= c * g[j]
-        while r and r[-1] == 0:
-            r.pop()
-        f, g = g, _primitive(r)
+        f, g = g, _primitive(_prem(f, g))
     return _primitive(f)
+
+
+def _resultant_z(f: list[int], g: list[int]) -> int:
+    """Res(f, g) of nonzero f and g with deg f + deg g >= 1, by Collins'
+    subresultant remainder sequence (Cohen, Alg. 3.3.7).
+
+    Each pseudo-remainder divided by lead * h**delta is exactly the next
+    subresultant, a minor of the Sylvester matrix, so every division is exact
+    and the coefficients grow only linearly.  A zero remainder means a common
+    factor, and the resultant is 0.
+    """
+    t = math.gcd(*f) ** (len(g) - 1) * math.gcd(*g) ** (len(f) - 1)  # the contents, taken out first
+    f, g = _primitive(f), _primitive(g)
+    sign = 1
+    if len(f) < len(g):  # Res(g, f) = (-1)**(deg f * deg g) * Res(f, g)
+        f, g = g, f
+        sign = -1 if (len(f) - 1) & (len(g) - 1) & 1 else 1
+    lead = h = 1
+    while len(g) > 1:
+        delta = len(f) - len(g)
+        if (len(f) - 1) & (len(g) - 1) & 1:
+            sign = -sign
+        r = _prem(f, g)
+        if not r:
+            return 0
+        divisor = lead * h**delta
+        f, g = g, [c // divisor for c in r]
+        lead = f[-1]
+        if delta:  # h <- lead**delta / h**(delta - 1); the first step may have delta = 0
+            h = lead**delta // h ** (delta - 1)
+    n = len(f) - 1
+    return sign * t * g[-1] ** n // h ** (n - 1)
 
 
 def _squarefree(f: list[int]) -> list[list[int]]:

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 # Not called here; perfbench's layer tracer wraps this binding by name.
 from .disc import discriminant_resultant  # noqa: F401
-from .exact import Polynomial, _coeff_float
+from .exact import Polynomial, _coeff_float, _horner_float
 
 __all__ = [
     "DepressedPolynomial",
@@ -170,19 +170,21 @@ def _newton(f: Polynomial, xs: list, steps: int, tol: float | None = None) -> li
 
     A point stops early at a zero slope and, given `tol`, once |f(x)| <= tol;
     that test comes before each step, so a point that already meets `tol`
-    costs one evaluation of f.  The derivative is computed at most once per
-    call, and not at all when every point already meets `tol`.
+    costs one evaluation of f.  The coefficients of f are converted to floats
+    once per call, and those of the derivative once, when a slope is first
+    needed; evaluation is `Polynomial.__call__`'s Horner rule, so every value
+    is the same float.
     """
-    df = None
+    fs, dfs = [_coeff_float(c) for c in f.coeffs], None
     out = []
     for x in xs:
         for _ in range(steps):
-            fx = f(x)
+            fx = _horner_float(fs, x)
             if tol is not None and abs(fx) <= tol:
                 break
-            if df is None:
-                df = f.derivative()
-            slope = df(x)
+            if dfs is None:
+                dfs = [_coeff_float(c) for c in f.derivative().coeffs]
+            slope = _horner_float(dfs, x)
             if slope == 0:
                 break
             x = x - fx / slope

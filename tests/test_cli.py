@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from klasika.cli import run
+from klasika.disc import discriminant_resultant
 from klasika.exact import Polynomial, poly_gcd, rational_roots
 from klasika.ratfun import factor_real, partial_fractions
 from klasika.roots import residual_tolerance, solve_cubic_cardano
@@ -198,6 +199,29 @@ def test_degree_64_gcd_is_fast():
     t0 = time.perf_counter()
     assert poly_gcd(f, f.derivative()) == Polynomial([1])
     assert time.perf_counter() - t0 < 0.5
+
+
+def _cap_polynomial() -> Polynomial:
+    """Degree 64, every coefficient 20 bits wide."""
+    rng = random.Random(64)
+    return Polynomial([rng.randint(-(1 << 20), 1 << 20) for _ in range(64)] + [rng.randint(1 << 19, 1 << 20)])
+
+
+def test_degree_64_repeated_is_fast():
+    f = _cap_polynomial()
+    t0 = time.perf_counter()
+    result = run(["repeated", f.to_text()])
+    assert time.perf_counter() - t0 < 0.25
+    assert result.status == "ok"
+    assert result.payload["has_repeated_roots"] is False
+
+
+def test_degree_64_discriminant_resultant_is_fast():
+    f = _cap_polynomial()
+    t0 = time.perf_counter()
+    d = discriminant_resultant(f)
+    assert time.perf_counter() - t0 < 0.25
+    assert d != 0
 
 
 def test_ngon_17_json_golden():

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from klasika.disc import (
     SquareMatrix,
@@ -10,6 +12,7 @@ from klasika.disc import (
     has_repeated_roots,
     power_sums,
     resultant,
+    sylvester_matrix,
 )
 from klasika.exact import Polynomial, poly_gcd
 
@@ -63,6 +66,21 @@ def test_determinant_singular_and_pivoting():
     assert determinant([[0, 2, 1], [3, 0, 0], [0, 4, 2]]) == 0
 
 
+def newton_power_sums_over_q(f: Polynomial, m: int) -> list[Fraction]:
+    """S_0 ... S_m by Newton's identities on the monic form of f, over Q."""
+    g = f.monic()
+    n = g.degree
+    sigma = [Fraction(0)] + [(-1) ** v * g[n - v] for v in range(1, n + 1)]
+    s = [Fraction(n)]
+    for k in range(1, m + 1):
+        acc = Fraction(0)
+        for v in range(1, min(k, n) + 1):
+            term = sigma[v] * (v if v == k else s[k - v])
+            acc += term if v % 2 == 1 else -term
+        s.append(acc)
+    return s
+
+
 def test_power_sums_root_oracle():
     f = Polynomial([2, -3, 1])  # roots 1, 2
     s = power_sums(f, 3)
@@ -85,6 +103,19 @@ def test_power_sums_vieta_shortcuts(rng):
         s = power_sums(f, 1)
         assert s[0] == n
         assert s[1] == -f[n - 1]
+
+
+def test_power_sums_match_newton_over_q():
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(1, 24)
+        lead = Fraction(rng.choice([-1, 1]) * rng.randint(2, 1 << 20), rng.randint(1, 9))
+        if seed % 3 == 0:  # integer coefficients
+            f = Polynomial([rng.randint(-(1 << 20), 1 << 20) for _ in range(n)] + [lead.numerator])
+        else:
+            f = Polynomial(rand_coeffs(rng, n - 1, -999, 999, 64) + [lead])
+        m = rng.randint(0, 2 * n)
+        assert list(power_sums(f, m)) == newton_power_sums_over_q(f, m)
 
 
 def test_power_sums_errors():
@@ -142,6 +173,16 @@ def test_hankel_rescales_for_non_monic(rng):
     for _ in range(50):
         f = Polynomial(rand_coeffs(rng, rng.randint(2, 4)))
         assert discriminant_hankel(f) == discriminant_resultant(f)
+    # non-monic, 40-bit coefficients
+    for seed in range(24):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        coeffs = [rng.randint(-(1 << 40), 1 << 40) for _ in range(n)]
+        lead = rng.choice([-1, 1]) * rng.randint(2, 1 << 40)
+        f = Polynomial(coeffs + [lead])
+        assert discriminant_hankel(f) == discriminant_resultant(f)
+        g = Polynomial([Fraction(c, rng.randint(1, 999)) for c in coeffs] + [lead])
+        assert discriminant_hankel(g) == discriminant_resultant(g)
 
 
 def test_root_product_oracle(rng):
@@ -156,6 +197,105 @@ def test_root_product_oracle(rng):
 def test_resultant_detects_common_roots():
     assert resultant(Polynomial([-1, 0, 1]), Polynomial([1, 1])) == 0  # share root -1
     assert resultant(Polynomial([1, 0, 1]), Polynomial([1, 1])) != 0  # coprime
+
+
+def sympy_resultant(f: Polynomial, g: Polynomial) -> Fraction:
+    """sympy's resultant, for deg f >= deg g only: when deg f < deg g and both
+    are odd, sympy 1.14 returns -Res(f, g) (x - 3 and x^3 + x + 5 give -35,
+    where its own `sylvester(f, g, x).det()` gives 35)."""
+    assert f.degree >= g.degree
+    x = sympy.Symbol("x")
+
+    def as_poly(p: Polynomial):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x, domain="QQ")
+
+    r = sympy.Rational(sympy.resultant(as_poly(f), as_poly(g)))
+    return Fraction(int(r.p), int(r.q))
+
+
+def remainder_degrees(f: Polynomial, g: Polynomial) -> list[int]:
+    """Degrees of the Euclidean remainder sequence f, g, f mod g, ... over Q."""
+    if f.degree < g.degree:
+        f, g = g, f
+    out = [f.degree]
+    while not g.is_zero:
+        out.append(g.degree)
+        f, g = g, f % g
+    return out
+
+
+def check_resultant(f: Polynomial, g: Polynomial) -> Fraction:
+    """Res(f, g) against the Sylvester determinant, sympy and the swap sign."""
+    res, swapped = resultant(f, g), resultant(g, f)
+    assert res == determinant(sylvester_matrix(f, g))
+    assert swapped == determinant(sylvester_matrix(g, f))
+    assert swapped == (-1) ** (f.degree * g.degree) * res
+    if f.degree >= g.degree:
+        assert res == sympy_resultant(f, g)
+    else:
+        assert swapped == sympy_resultant(g, f)
+    return res
+
+
+def random_poly(rng: random.Random, degree: int, sparse: float = 0.0, bits: int = 8) -> Polynomial:
+    """Random coefficients, a share `sparse` of them zero below the top, and
+    a leading coefficient that is negative, non-unit or fractional in turn."""
+    coeffs = [
+        Fraction(rng.randint(-(1 << bits), 1 << bits), rng.choice([1, 1, 2, 3])) if rng.random() >= sparse else 0
+        for _ in range(degree)
+    ]
+    lead = [Fraction(-1), Fraction(-rng.randint(2, 99)), Fraction(rng.randint(2, 99)), Fraction(rng.randint(1, 99), rng.randint(2, 9))]
+    return Polynomial(coeffs + [lead[degree % 4]])
+
+
+def test_resultant_defective_prs_gaps():
+    gaps = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        f = random_poly(rng, rng.randint(2, 24), sparse=0.85)
+        g = random_poly(rng, rng.randint(1, f.degree), sparse=0.85)
+        degrees = remainder_degrees(f, g)
+        gaps += any(a - b >= 2 for a, b in zip(degrees[1:], degrees[2:]))
+        check_resultant(f, g)
+    assert gaps >= 20  # the sparse inputs reach remainder sequences with degree gaps >= 2
+
+
+def test_resultant_dense_up_to_degree_24():
+    for seed in range(40):
+        rng = random.Random(1000 + seed)
+        f = random_poly(rng, rng.randint(1, 24), bits=20)
+        g = random_poly(rng, rng.randint(1, 24), bits=20)
+        assert check_resultant(f, g) != 0  # random pairs are coprime
+    # equal degrees, where the first pseudo-division has no gap
+    f, g = Polynomial([3, -1, 4, -2]), Polynomial([Fraction(1, 2), 5, 0, -7])
+    check_resultant(f, g)
+
+
+def test_resultant_planted_common_factor_is_zero():
+    for seed in range(40):
+        rng = random.Random(2000 + seed)
+        common = random_poly(rng, rng.randint(1, 6))
+        f = common * random_poly(rng, rng.randint(0, 12), sparse=0.5)
+        g = common * random_poly(rng, rng.randint(0, 12), sparse=0.5)
+        assert check_resultant(f, g) == 0
+
+
+def test_resultant_of_a_constant():
+    rng = random.Random(3000)
+    for c in (Fraction(1), Fraction(-1), Fraction(7), Fraction(-3, 4), Fraction(10**30, 7)):
+        for degree in (1, 2, 5, 13, 24):
+            g = random_poly(rng, degree, sparse=0.3)
+            assert check_resultant(Polynomial([c]), g) == c**degree
+            assert resultant(g, Polynomial([c])) == c**degree
+
+
+def test_resultant_errors():
+    with pytest.raises(ValueError):
+        resultant(Polynomial(), Polynomial([1, 1]))
+    with pytest.raises(ValueError):
+        resultant(Polynomial([1, 1]), Polynomial())
+    with pytest.raises(ValueError):
+        resultant(Polynomial([2]), Polynomial([3]))
 
 
 def test_has_repeated_roots_examples():

@@ -150,8 +150,9 @@ class CountingDerivative:
     def __init__(self, f):
         self.f, self.derivatives = f, 0
 
-    def __call__(self, x):
-        return self.f(x)
+    @property
+    def coeffs(self):
+        return self.f.coeffs
 
     def derivative(self):
         self.derivatives += 1
@@ -177,6 +178,42 @@ def test_newton_steps_stops_and_derivative_count():
     assert g.derivatives == 0  # points that meet tol need no derivative
     _newton(g, [1.0, -1.0, 3.0], 3)
     assert g.derivatives == 1  # once per call, shared by the points
+
+
+def horner_per_call(f, x):
+    """f at float or complex x, converting every coefficient on each call."""
+    acc = 0.0 if not isinstance(x, complex) else complex(0.0)
+    for c in reversed(f.coeffs):
+        acc = acc * x + float(c)
+    return acc
+
+
+def newton_per_call(f, xs, steps, tol=None):
+    """The Newton loop with a fresh float conversion at every evaluation."""
+    df, out = f.derivative(), []
+    for x in xs:
+        for _ in range(steps):
+            fx = horner_per_call(f, x)
+            if tol is not None and abs(fx) <= tol:
+                break
+            slope = horner_per_call(df, x)
+            if slope == 0:
+                break
+            x = x - fx / slope
+        out.append(x)
+    return out
+
+
+def test_newton_is_bit_identical_to_per_call_conversion(rng):
+    for k in range(300):
+        f = Polynomial(rand_coeffs(rng, rng.randint(1, 6), -99, 99, 7))
+        xs = [rng.uniform(-3, 3), complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), 0.0, complex(0.0)]
+        tol = None if k % 2 else 1e-9 * (1 + f.norm_1())
+        got = _newton(f, xs, 3, tol)
+        want = newton_per_call(f, xs, 3, tol)
+        assert [repr(z) for z in got] == [repr(z) for z in want]
+        assert [repr(f(x)) for x in xs] == [repr(horner_per_call(f, x)) for x in xs]
+        assert [type(z) for z in got] == [type(x) for x in xs]
 
 
 def test_cardano_rejects_other_degrees():
