@@ -201,8 +201,7 @@ def _cmd_depress(args, opts):
 def _cmd_classify_conic(args, opts):
     _need_args(args, 1, "classify-conic a,b,c,d,e,lambda")
     a, b, c, d, e, lam = _parse_fraction_list(args[0], 6, "classify-conic")
-    kind = forms.classify_conic(a, b, c, d, e, lam)
-    sig = forms.inertia(forms.SymMatrix([[a, b / 2], [b / 2, c]]))
+    kind, sig = forms._classify_conic(a, b, c, d, e, lam)
     payload = {
         "command": "classify-conic",
         "coefficients": [str(v) for v in (a, b, c, d, e, lam)],
@@ -454,15 +453,13 @@ commands:
 
 def run(argv: list[str]) -> CommandResult:
     """Execute one command line; never raises."""
-    opts: dict = {"json": False}
+    opts: dict = {}
     positional: list[str] = []
     try:
         i = 0
         while i < len(argv):
             arg = argv[i]
-            if arg == "--json":
-                opts["json"] = True
-            elif arg == "--tol":
+            if arg == "--tol":
                 if i + 1 >= len(argv):
                     raise UsageError("--tol needs a value")
                 i += 1
@@ -474,7 +471,7 @@ def run(argv: list[str]) -> CommandResult:
                     raise UsageError("--tol must be a positive finite number")
             elif arg == "--help" or arg == "-h":
                 return CommandResult("ok", {"command": "help", "usage": _USAGE}, _USAGE, 0)
-            else:
+            elif arg != "--json":  # `main` reads --json from argv itself
                 positional.append(arg)
             i += 1
         if not positional:

@@ -85,11 +85,6 @@ class Polynomial:
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"malformed coefficient list: {text!r}") from None
 
-    @classmethod
-    def x_power(cls, k: int, coeff: RationalLike = 1) -> "Polynomial":
-        """The monomial coeff * x**k."""
-        return cls([0] * k + [coeff])
-
     def to_text(self) -> str:
         if not self.coeffs:
             return "0"

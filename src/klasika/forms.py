@@ -15,7 +15,10 @@ Conventions worth pinning down once:
 * Inertia (counts of positive/negative/zero eigenvalues) is computed EXACTLY
   from the characteristic polynomial with Descartes' sign-variation rule,
   which is an exact count here because symmetric matrices have all-real
-  spectra.  No classification ever hinges on a floating-point sign.
+  spectra.  `inertia` is the one signature routine: a quadric's kind is read
+  from the inertia of its matrix, a conic's from the inertias of its
+  quadratic part Q and its bordered 3x3 matrix B (Sylvester's law), so no
+  classification ever hinges on a floating-point sign.
 * `orthogonal_diagonalize` returns eigenvector COLUMNS in S with
   A = S diag(D) S^t; texts that write A = S^t D S are using the transposed
   convention, which for orthogonal S is the same factorization read backwards.
@@ -29,9 +32,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .disc import SquareMatrix, _eliminate, determinant
-from .exact import Polynomial, RationalLike, _as_fraction, _rational_split, _sign_variations
+from .disc import SquareMatrix, _eliminate
+from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators
+from .exact import _rational_split, _sign_variations
 from .roots import _newton, solve_cubic_cardano, solve_quadratic
+# Not called here; perfbench's layer tracer wraps this binding by name.
+from .disc import determinant  # noqa: F401
 
 __all__ = [
     "BinaryForm",
@@ -149,9 +155,6 @@ class Inertia:
     n_minus: int
     n_zero: int
 
-    def __iter__(self):
-        return iter((self.n_plus, self.n_minus, self.n_zero))
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n_plus, self.n_minus, self.n_zero)
 
@@ -239,22 +242,23 @@ def transform_form(form: BinaryForm, c: Sequence[Sequence[RationalLike]]) -> Bin
 
 
 def char_poly(m: SquareMatrix) -> Polynomial:
-    """det(lambda*I - M), exactly, by the Faddeev-LeVerrier trace recursion."""
+    """det(lambda*I - M), exactly, by the Faddeev-LeVerrier trace recursion.
+
+    The recursion runs over Z on A = d*M, d the least common denominator of
+    M's entries: each c_k = -tr(A*M_k)/k is an exact integer quotient, and
+    the coefficient of lambda^(n-k) in M's polynomial is c_k / d^k.
+    """
     n = m.n
+    d, flat = _clear_denominators(v for row in m.rows for v in row)
+    a = [flat[i * n : (i + 1) * n] for i in range(n)]
     coeffs_desc = [Fraction(1)]
-    mk = m
+    ak = a  # A*M_k, with M_1 = I
     for k in range(1, n + 1):
-        tr = sum(mk.rows[i][i] for i in range(n))
-        ck = -tr / k
-        coeffs_desc.append(ck)
+        ck = -sum(ak[i][i] for i in range(n)) // k
+        coeffs_desc.append(Fraction(ck, d**k))
         if k < n:
-            shifted = SquareMatrix(
-                [
-                    [mk.rows[i][j] + (ck if i == j else 0) for j in range(n)]
-                    for i in range(n)
-                ]
-            )
-            mk = m @ shifted
+            shifted = [[v + ck * (i == j) for j, v in enumerate(row)] for i, row in enumerate(ak)]
+            ak = [[sum(x * y for x, y in zip(row, col)) for col in zip(*shifted)] for row in a]
     return Polynomial(list(reversed(coeffs_desc)))
 
 
@@ -278,6 +282,23 @@ def inertia(m: SquareMatrix) -> Inertia:
 # -- conic classification --------------------------------------------------------
 
 
+# (inertia of Q, inertia of B), signs flipped so that Q has n_plus >= n_minus;
+# these are the 10 pairs Cauchy interlacing allows for a nonzero 2x2 Q
+# bordered into a 3x3 B.
+_CONIC_TABLE = {
+    ((2, 0, 0), (2, 1, 0)): ConicKind.ELLIPSE,
+    ((2, 0, 0), (2, 0, 1)): ConicKind.DEGENERATE,  # a single point
+    ((2, 0, 0), (3, 0, 0)): ConicKind.EMPTY,
+    ((1, 1, 0), (2, 1, 0)): ConicKind.HYPERBOLA,
+    ((1, 1, 0), (1, 2, 0)): ConicKind.HYPERBOLA,
+    ((1, 1, 0), (1, 1, 1)): ConicKind.DEGENERATE,  # crossing line pair
+    ((1, 0, 1), (2, 1, 0)): ConicKind.PARABOLA,
+    ((1, 0, 1), (1, 1, 1)): ConicKind.DEGENERATE,  # parallel line pair
+    ((1, 0, 1), (1, 0, 2)): ConicKind.DEGENERATE,  # double line
+    ((1, 0, 1), (2, 0, 1)): ConicKind.EMPTY,  # imaginary parallel pair
+}
+
+
 def classify_conic(
     a: RationalLike,
     b: RationalLike,
@@ -289,57 +310,28 @@ def classify_conic(
     """Kind of the plane curve a*x^2 + b*xy + c*y^2 + d*x + e*y = lam.
 
     Everything is decided exactly over Q.  With Q the matrix of the
-    quadratic part and B the bordered 3x3 matrix of the whole equation, the
-    centered reduction lam1*X^2 + lam2*Y^2 = C has C = -det B / det Q, so no
-    eigenvalue ever needs to be extracted numerically; the parabolic branch
-    (det Q = 0) reduces along the exact rational kernel direction instead.
+    quadratic part and B the bordered 3x3 matrix of a*x^2 + ... + e*y - lam,
+    the kind is fixed by the pair of their inertias (Sylvester's law of
+    inertia), read from `_CONIC_TABLE`; a circle is an ellipse with a == c
+    and b == 0.
     """
+    return _classify_conic(a, b, c, d, e, lam)[0]
+
+
+def _classify_conic(a, b, c, d, e, lam) -> tuple[ConicKind, Inertia]:
+    """The conic kind together with the inertia of Q it was read from."""
     a, b, c, d, e, lam = (_as_fraction(v) for v in (a, b, c, d, e, lam))
     if a == 0 and b == 0 and c == 0:
         raise ValueError("not a conic: the quadratic part is zero")
-    q = SymMatrix([[a, b / 2], [b / 2, c]])
-    det_q = determinant(q)
-    if det_q != 0:
-        bordered = SquareMatrix(
-            [
-                [a, b / 2, d / 2],
-                [b / 2, c, e / 2],
-                [d / 2, e / 2, -lam],
-            ]
-        )
-        const = -determinant(bordered) / det_q
-        if det_q > 0:
-            # definite quadratic part; its sign is the sign of the trace
-            positive = a + c > 0
-            if const == 0:
-                return ConicKind.DEGENERATE  # a single point
-            if (const > 0) == positive:
-                if a == c and b == 0:
-                    return ConicKind.CIRCLE
-                return ConicKind.ELLIPSE
-            return ConicKind.EMPTY
-        if const == 0:
-            return ConicKind.DEGENERATE  # crossing line pair
-        return ConicKind.HYPERBOLA
-
-    # det Q = 0: exactly one zero eigenvalue (Q itself is nonzero)
-    if a != 0 or b != 0:
-        kernel = (-b / 2, a)
-    else:
-        kernel = (Fraction(1), Fraction(0))
-    kappa = d * kernel[0] + e * kernel[1]
-    if kappa != 0:
-        return ConicKind.PARABOLA
-    # the linear part lives along the nonzero eigendirection u; with
-    # s the coordinate there, the equation is trace(Q)*s^2 + (w.u)/|u| * s = lam
-    u = (kernel[1], -kernel[0])
-    trace = a + c
-    wu = d * u[0] + e * u[1]
-    uu = u[0] * u[0] + u[1] * u[1]
-    disc_s = wu * wu / uu + 4 * trace * lam
-    if disc_s < 0:
-        return ConicKind.EMPTY
-    return ConicKind.DEGENERATE  # parallel line pair, or a double line
+    sig_q = inertia(SymMatrix([[a, b / 2], [b / 2, c]]))
+    sig_b = inertia(SymMatrix([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, -lam]]))
+    key = (sig_q.as_tuple(), sig_b.as_tuple())
+    if sig_q.n_plus < sig_q.n_minus:  # negating the equation swaps both sign counts
+        key = tuple((p, m, z) for m, p, z in key)
+    kind = _CONIC_TABLE[key]
+    if kind is ConicKind.ELLIPSE and a == c and b == 0:
+        kind = ConicKind.CIRCLE
+    return kind, sig_q
 
 
 # -- quadric classification -------------------------------------------------------

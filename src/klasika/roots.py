@@ -161,7 +161,8 @@ def solve_cubic_cardano(f: Polynomial) -> CubicRoots:
     shift = _coeff_float(dep.shift)
     tol = residual_tolerance(f)
     roots = _newton(f, [y - shift for y in ys], 3, tol)
-    residuals = tuple(abs(f(r)) for r in roots)
+    fs = [_coeff_float(c) for c in f.coeffs]  # abs(f(r)) bit for bit, converting f once
+    residuals = tuple(abs(_horner_float(fs, r)) for r in roots)
     return CubicRoots(tuple(roots), residuals, tol)
 
 

@@ -1,11 +1,14 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from klasika.disc import SquareMatrix, determinant
 from klasika.exact import Polynomial
+from klasika import forms
 from klasika.forms import (
     BinaryForm,
     ConicKind,
@@ -182,6 +185,30 @@ def test_char_poly_evaluates_to_char_det(rng):
         assert p(lam) == determinant(shifted)
 
 
+def rand_rational_matrix(rng, n):
+    """A general (non-symmetric) matrix with mixed denominators."""
+    return SquareMatrix(
+        [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12))) for _ in range(n)] for _ in range(n)]
+    )
+
+
+def sympy_char_poly(m):
+    lam = sympy.Symbol("lam")
+    coeffs = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m.rows])
+    desc = coeffs.charpoly(lam).all_coeffs()
+    return Polynomial([Fraction(int(c.p), int(c.q)) for c in reversed(desc)])
+
+
+def test_char_poly_matches_sympy(rng):
+    cases = [SquareMatrix([[0] * n for _ in range(n)]) for n in range(1, 7)]
+    cases += [SquareMatrix([[Fraction(-7, 3)]]), SquareMatrix([[Fraction(1, 2), 3], [Fraction(-5, 7), 0]])]
+    for n in range(1, 7):
+        cases += [rand_rational_matrix(rng, n) for _ in range(12)]
+        cases += [rand_sym_matrix(rng, n) for _ in range(4)]
+    for m in cases:
+        assert char_poly(m) == sympy_char_poly(m)
+
+
 def test_inertia_examples():
     assert inertia(SymMatrix(SquareMatrix.identity(3).rows)).as_tuple() == (3, 0, 0)
     assert inertia(SymMatrix([[1, 1, 1]] * 3)).as_tuple() == (1, 0, 2)
@@ -226,6 +253,94 @@ def test_classify_conic_canonical_families():
     assert classify_conic(1, 0, 0, 0, 3, 1) == ConicKind.PARABOLA  # x^2 + 3y = 1
     with pytest.raises(ValueError):
         classify_conic(0, 0, 0, 1, 1, 1)
+
+
+def classify_conic_by_schur(a, b, c, d, e, lam):
+    """The case analysis `classify_conic` used before its inertia table: det Q,
+    the trace, the Schur complement -det B / det Q, and for singular Q the
+    reduction along the exact kernel direction."""
+    a, b, c, d, e, lam = (Fraction(v) for v in (a, b, c, d, e, lam))
+    det_q = determinant([[a, b / 2], [b / 2, c]])
+    if det_q != 0:
+        const = -determinant([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, -lam]]) / det_q
+        if det_q > 0:
+            if const == 0:
+                return ConicKind.DEGENERATE  # a single point
+            if (const > 0) == (a + c > 0):
+                return ConicKind.CIRCLE if a == c and b == 0 else ConicKind.ELLIPSE
+            return ConicKind.EMPTY
+        return ConicKind.DEGENERATE if const == 0 else ConicKind.HYPERBOLA
+    kernel = (-b / 2, a) if a != 0 or b != 0 else (Fraction(1), Fraction(0))
+    if d * kernel[0] + e * kernel[1] != 0:
+        return ConicKind.PARABOLA
+    u = (kernel[1], -kernel[0])
+    wu = d * u[0] + e * u[1]
+    disc_s = wu * wu / (u[0] * u[0] + u[1] * u[1]) + 4 * (a + c) * lam
+    return ConicKind.EMPTY if disc_s < 0 else ConicKind.DEGENERATE
+
+
+def linear_form_product(p, q):
+    """Coefficients (a, b, c, d, e, lam) of the conic p(x, y) * q(x, y) = 0 for
+    linear forms p = (p1, p2, p0) meaning p1*x + p2*y + p0."""
+    (p1, p2, p0), (q1, q2, q0) = p, q
+    return (p1 * q1, p1 * q2 + p2 * q1, p2 * q2, p1 * q0 + p0 * q1, p2 * q0 + p0 * q2, -p0 * q0)
+
+
+def planted_degenerate_conics(rng):
+    """Products of two rational linear forms, real and conjugate-imaginary."""
+    def rand_linear():
+        while True:
+            form = tuple(rand_fraction(rng, -5, 5, 3) for _ in range(3))
+            if form[0] != 0 or form[1] != 0:
+                return form
+
+    def add(*coeff_lists):
+        return tuple(sum(cs) for cs in zip(*coeff_lists))
+
+    out = []
+    for _ in range(60):
+        p, q = rand_linear(), rand_linear()
+        k = rand_fraction(rng, 1, 5, 3) * rng.choice((1, -1))
+        s = rand_fraction(rng, 1, 5, 3)
+        parallel = (k * p[0], k * p[1], p[2] + s)
+        out += [
+            linear_form_product(p, q),  # crossing (or parallel) real pair
+            linear_form_product(p, parallel),  # parallel real pair
+            linear_form_product(p, p),  # coincident: a double line
+            linear_form_product((k * p[0], k * p[1], k * p[2]), p),  # coincident, rescaled
+            # p^2 + s^2 = 0: an imaginary parallel pair
+            add(linear_form_product(p, p), (0, 0, 0, 0, 0, -s * s)),
+            # p^2 + q^2 = 0: an imaginary crossing pair, whose one real point is p = q = 0
+            add(linear_form_product(p, p), linear_form_product(q, q)),
+        ]
+    return out + [tuple(-v for v in coeffs) for coeffs in out]
+
+
+class RecordingTable(dict):
+    def __init__(self, table):
+        super().__init__(table)
+        self.hits = set()
+
+    def __getitem__(self, key):
+        self.hits.add(key)
+        return super().__getitem__(key)
+
+
+def test_conic_table_matches_schur_oracle(rng, monkeypatch):
+    table = RecordingTable(forms._CONIC_TABLE)
+    monkeypatch.setattr(forms, "_CONIC_TABLE", table)
+    grid = [
+        coeffs
+        for coeffs in itertools.product((-1, 0, 1, 2), repeat=6)
+        if any(coeffs[:3])
+    ]
+    assert len(grid) == 4032
+    planted = planted_degenerate_conics(rng)
+    for coeffs in grid + planted:
+        assert classify_conic(*coeffs) == classify_conic_by_schur(*coeffs), coeffs
+    assert all(classify_conic(*coeffs) in (ConicKind.DEGENERATE, ConicKind.EMPTY) for coeffs in planted)
+    assert len(table) == 10
+    assert table.hits == set(table)
 
 
 def transform_conic(coeffs, c, t):

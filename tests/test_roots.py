@@ -101,6 +101,24 @@ def test_cardano_residuals_on_random_cubics(rng):
         assert max(out.residuals) < residual_tolerance(f)
 
 
+def test_cardano_residuals_are_bitwise_abs_f_of_root(rng):
+    cubics = []
+    for _ in range(80):
+        r1, r2, r3 = (rand_fraction(rng, -20, 20, 5) for _ in range(3))
+        lead = rand_fraction(rng, 1, 9, 4) * rng.choice((1, -1))
+        p, q = rand_fraction(rng), rand_fraction(rng)
+        q += p * p / 4 + abs(rand_fraction(rng, 1, 9, 4))  # x^2 + p*x + q has no real root
+        cubics += [
+            Polynomial([-r1, 1]) * Polynomial([-r2, 1]) * Polynomial([-r3, lead]),  # three real roots
+            Polynomial([-r1, 1]) ** 2 * Polynomial([-r2, lead]),  # a double root
+            Polynomial([-r1, 1]) ** 3 * lead,  # a triple root
+            Polynomial([q, p, 1]) * Polynomial([-r1, lead]),  # a complex pair
+        ]
+    for f in cubics:
+        out = solve_cubic_cardano(f)
+        assert [abs(f(r)).hex() for r in out.roots] == [x.hex() for x in out.residuals]
+
+
 def test_cardano_vieta(rng):
     for _ in range(300):
         f = Polynomial(rand_coeffs(rng, 3, lo=-20, hi=20, max_den=5))
