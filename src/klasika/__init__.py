@@ -6,145 +6,62 @@ surfaces, compass-and-straightedge constructibility verdicts, and symbolic
 integration of rational functions.  All symbolic work runs over exact
 rationals; floating point appears only where roots or eigenvectors are
 genuinely irrational.
+
+Importing the package loads no layer.  Each public name, and each layer
+module by name (``klasika.forms``), is imported on first access (PEP 562),
+so ``from klasika import solve_cubic_cardano`` loads ``klasika.roots`` and
+the layers it imports, and no other.
 """
 
-from .construct import (
-    Add,
-    ConstructibilityVerdict,
-    Div,
-    Mul,
-    Num,
-    Sqrt,
-    Sub,
-    circle_squaring,
-    cube_doubling,
-    cube_scaling,
-    degree_power_of_two_check,
-    eval_constructible,
-    is_fermat_prime,
-    ngon_constructible,
-    parse_constructible,
-    trisectable,
-)
-from .disc import (
-    SquareMatrix,
-    determinant,
-    discriminant_hankel,
-    discriminant_resultant,
-    has_repeated_roots,
-    power_sums,
-    resultant,
-    sylvester_matrix,
-)
-from .exact import Polynomial, Rational, poly_gcd, rational_roots
-from .forms import (
-    BinaryForm,
-    ConicKind,
-    Diagonalization,
-    Inertia,
-    QuadricKind,
-    SymMatrix,
-    TernaryForm,
-    char_poly,
-    classify_conic,
-    classify_quadric,
-    diagonal_substitution,
-    form_discriminant,
-    form_to_matrix,
-    inertia,
-    is_positive_definite,
-    matrix_to_form,
-    orthogonal_diagonalize,
-    rational_nullspace,
-    solve_linear_system,
-    transform_form,
-)
-from .ratfun import (
-    ConicParam,
-    PartialFractions,
-    RealFactorization,
-    SymbolicAntiderivative,
-    UnsupportedFactorizationError,
-    ellipse_area,
-    ellipse_perimeter,
-    factor_real,
-    integrate_rational,
-    partial_fractions,
-)
-from .roots import (
-    CubicRoots,
-    DepressedPolynomial,
-    depress,
-    roots_of_unity,
-    solve_cubic_cardano,
-    solve_quadratic,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Polynomial",
-    "Rational",
-    "poly_gcd",
-    "rational_roots",
-    "SquareMatrix",
-    "determinant",
-    "sylvester_matrix",
-    "resultant",
-    "power_sums",
-    "discriminant_resultant",
-    "discriminant_hankel",
-    "has_repeated_roots",
-    "DepressedPolynomial",
-    "CubicRoots",
-    "depress",
-    "solve_quadratic",
-    "solve_cubic_cardano",
-    "roots_of_unity",
-    "BinaryForm",
-    "TernaryForm",
-    "SymMatrix",
-    "Inertia",
-    "ConicKind",
-    "QuadricKind",
-    "Diagonalization",
-    "form_to_matrix",
-    "matrix_to_form",
-    "form_discriminant",
-    "is_positive_definite",
-    "transform_form",
-    "char_poly",
-    "inertia",
-    "classify_conic",
-    "classify_quadric",
-    "orthogonal_diagonalize",
-    "diagonal_substitution",
-    "solve_linear_system",
-    "rational_nullspace",
-    "Num",
-    "Add",
-    "Sub",
-    "Mul",
-    "Div",
-    "Sqrt",
-    "ConstructibilityVerdict",
-    "parse_constructible",
-    "eval_constructible",
-    "is_fermat_prime",
-    "ngon_constructible",
-    "trisectable",
-    "cube_scaling",
-    "cube_doubling",
-    "circle_squaring",
-    "degree_power_of_two_check",
-    "UnsupportedFactorizationError",
-    "RealFactorization",
-    "PartialFractions",
-    "SymbolicAntiderivative",
-    "ConicParam",
-    "factor_real",
-    "partial_fractions",
-    "integrate_rational",
-    "ellipse_area",
-    "ellipse_perimeter",
-]
+# Each layer module and the public names it defines, in `__all__` order.
+_EXPORTS = {
+    "exact": ("Polynomial", "Rational", "poly_gcd", "rational_roots"),
+    "disc": (
+        "SquareMatrix", "determinant", "sylvester_matrix", "resultant", "power_sums",
+        "discriminant_resultant", "discriminant_hankel", "has_repeated_roots",
+    ),
+    "roots": (
+        "DepressedPolynomial", "CubicRoots", "depress", "solve_quadratic",
+        "solve_cubic_cardano", "roots_of_unity",
+    ),
+    "forms": (
+        "BinaryForm", "TernaryForm", "SymMatrix", "Inertia", "ConicKind", "QuadricKind",
+        "Diagonalization", "form_to_matrix", "matrix_to_form", "form_discriminant",
+        "is_positive_definite", "transform_form", "char_poly", "inertia", "classify_conic",
+        "classify_quadric", "orthogonal_diagonalize", "diagonal_substitution",
+        "solve_linear_system", "rational_nullspace",
+    ),
+    "construct": (
+        "Num", "Add", "Sub", "Mul", "Div", "Sqrt", "ConstructibilityVerdict",
+        "parse_constructible", "eval_constructible", "is_fermat_prime", "ngon_constructible",
+        "trisectable", "cube_scaling", "cube_doubling", "circle_squaring",
+        "degree_power_of_two_check",
+    ),
+    "ratfun": (
+        "UnsupportedFactorizationError", "RealFactorization", "PartialFractions",
+        "SymbolicAntiderivative", "ConicParam", "factor_real", "partial_fractions",
+        "integrate_rational", "ellipse_area", "ellipse_perimeter",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # importing a submodule binds it here as well
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

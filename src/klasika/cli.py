@@ -4,7 +4,9 @@ Dispatch is hand-rolled rather than argparse-based because coefficient lists
 like ``-1,0,-6,8`` start with a dash and standard option parsing would eat
 them.  Every subcommand produces a CommandResult; `--json` prints one
 well-formed object (sorted keys, schema version 1), plain mode prints the
-human text.  Exit codes: 0 ok, 1 domain error, 2 usage error.
+human text.  Exit codes: 0 ok, 1 domain error, 2 usage error.  Each handler
+imports the one layer it calls, so a subcommand loads only that layer and
+what it imports.
 
 Coefficient lists are ASCENDING (constant term first): ``disc 2,-3,1`` is
 the polynomial x^2 - 3x + 2.  Quadric cross coefficients are passed as
@@ -22,8 +24,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import construct, disc, forms, ratfun, roots
-from .exact import Polynomial, _join_terms, _terms
+from .exact import Polynomial, _fraction_from_text, _join_terms, _terms
 
 __all__ = ["CommandResult", "run", "main"]
 
@@ -77,7 +78,7 @@ def _parse_poly(text: str, min_degree: int = 0) -> Polynomial:
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return _fraction_from_text(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"malformed rational number: {text!r}") from None
 
@@ -91,7 +92,7 @@ def _parse_fraction_list(text: str, count: int, what: str) -> list[Fraction]:
 
 def _parse_float(text: str, what: str) -> float:
     try:
-        value = float(Fraction(text.strip()))
+        value = float(_fraction_from_text(text.strip()))
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"malformed number for {what}: {text!r}") from None
     if not math.isfinite(value):
@@ -111,7 +112,7 @@ def _need_args(args: list[str], count: int, usage: str) -> None:
         raise UsageError(f"usage: {usage}")
 
 
-def _verdict_payload(v: construct.ConstructibilityVerdict) -> dict:
+def _verdict_payload(v) -> dict:
     word = {True: "yes", False: "no", None: "unknown"}[v.constructible]
     return {
         "constructible": v.constructible,
@@ -125,6 +126,7 @@ def _verdict_payload(v: construct.ConstructibilityVerdict) -> dict:
 
 
 def _cmd_disc(args, opts):
+    from . import disc
     _need_args(args, 1, "disc <coeffs>")
     f = _parse_poly(args[0], min_degree=2)
     d_res = disc.discriminant_resultant(f)
@@ -147,6 +149,7 @@ def _cmd_disc(args, opts):
 
 
 def _cmd_repeated(args, opts):
+    from . import disc
     _need_args(args, 1, "repeated <coeffs>")
     f = _parse_poly(args[0], min_degree=1)
     result = disc.has_repeated_roots(f)
@@ -156,6 +159,7 @@ def _cmd_repeated(args, opts):
 
 
 def _cmd_solve(args, opts):
+    from . import roots
     _need_args(args, 1, "solve <coeffs>")
     f = _parse_poly(args[0], min_degree=2)
     if f.degree not in (2, 3):
@@ -185,6 +189,7 @@ def _cmd_solve(args, opts):
 
 
 def _cmd_depress(args, opts):
+    from . import roots
     _need_args(args, 1, "depress <coeffs>")
     f = _parse_poly(args[0], min_degree=2)
     dep = roots.depress(f)
@@ -199,6 +204,7 @@ def _cmd_depress(args, opts):
 
 
 def _cmd_classify_conic(args, opts):
+    from . import forms
     _need_args(args, 1, "classify-conic a,b,c,d,e,lambda")
     a, b, c, d, e, lam = _parse_fraction_list(args[0], 6, "classify-conic")
     kind, sig = forms._classify_conic(a, b, c, d, e, lam)
@@ -213,12 +219,14 @@ def _cmd_classify_conic(args, opts):
     return payload, human
 
 
-def _ternary_from_arg(text: str) -> forms.TernaryForm:
+def _ternary_from_arg(text: str):
+    from . import forms
     a, b, c, dd, ee, ff = _parse_fraction_list(text, 6, "quadric")
     return forms.TernaryForm.from_equation_coefficients(a, b, c, dd, ee, ff)
 
 
 def _cmd_classify_quadric(args, opts):
+    from . import forms
     _need_args(args, 1, "classify-quadric a,b,c,d,e,f")
     form = _ternary_from_arg(args[0])
     kind, sig = forms._classify_quadric(form)
@@ -235,6 +243,7 @@ def _cmd_classify_quadric(args, opts):
 
 
 def _cmd_diagonalize(args, opts):
+    from . import forms
     _need_args(args, 1, "diagonalize a,b,c,d,e,f")
     form = _ternary_from_arg(args[0])
     dg = forms.orthogonal_diagonalize(forms.form_to_matrix(form))
@@ -260,6 +269,7 @@ def _cmd_diagonalize(args, opts):
 
 
 def _cmd_ngon(args, opts):
+    from . import construct
     _need_args(args, 1, "ngon <n>")
     n = _parse_int(args[0], "n")
     verdict = construct.ngon_constructible(n)
@@ -269,6 +279,7 @@ def _cmd_ngon(args, opts):
 
 
 def _cmd_trisect(args, opts):
+    from . import construct
     _need_args(args, 1, "trisect <cos3a as p/q>")
     value = _parse_fraction(args[0])
     verdict = construct.trisectable(value)
@@ -278,6 +289,7 @@ def _cmd_trisect(args, opts):
 
 
 def _cmd_double_cube(args, opts):
+    from . import construct
     _need_args(args, 0, "double-cube")
     verdict = construct.cube_doubling()
     payload = {"command": "double-cube", **_verdict_payload(verdict)}
@@ -286,6 +298,7 @@ def _cmd_double_cube(args, opts):
 
 
 def _cmd_square_circle(args, opts):
+    from . import construct
     _need_args(args, 0, "square-circle")
     verdict = construct.circle_squaring()
     payload = {"command": "square-circle", **_verdict_payload(verdict)}
@@ -294,6 +307,7 @@ def _cmd_square_circle(args, opts):
 
 
 def _cmd_construct_eval(args, opts):
+    from . import construct
     _need_args(args, 1, 'construct-eval "<expr>"')
     try:
         expr = construct.parse_constructible(args[0])
@@ -320,6 +334,7 @@ def _split_ratfun_args(args, usage):
 
 
 def _cmd_integrate(args, opts):
+    from . import ratfun
     top, bottom = _split_ratfun_args(args, "integrate <p-coeffs> / <q-coeffs>")
     p = _parse_poly(top)
     q = _parse_poly(bottom)
@@ -336,6 +351,7 @@ def _cmd_integrate(args, opts):
 
 
 def _cmd_partfrac(args, opts):
+    from . import ratfun
     top, bottom = _split_ratfun_args(args, "partfrac <p-coeffs> / <q-coeffs>")
     p = _parse_poly(top)
     q = _parse_poly(bottom)
@@ -364,6 +380,7 @@ def _cmd_partfrac(args, opts):
 
 
 def _cmd_ellipse(args, opts):
+    from . import ratfun
     if len(args) != 3 or args[0] not in ("area", "perimeter"):
         raise UsageError("usage: ellipse area|perimeter <a> <b>")
     a = _parse_float(args[1], "a")
@@ -376,7 +393,7 @@ def _cmd_ellipse(args, opts):
         tol = 1e-12
         env = os.environ.get("KLASIKA_PRECISION")
         if env is not None:
-            tol = float(Fraction(env))  # malformed value -> domain error
+            tol = float(_fraction_from_text(env))  # malformed value -> domain error
             if not (0 < tol < 1):
                 raise ValueError(f"KLASIKA_PRECISION must be in (0, 1), got {env!r}")
         value = ratfun.ellipse_perimeter(a, b, tol=tol)
@@ -386,6 +403,7 @@ def _cmd_ellipse(args, opts):
 
 
 def _cmd_param(args, opts):
+    from . import ratfun
     _need_args(args, 4, "param circle|ellipse|hyperbola|parabola <a> <b> <t>")
     kind = args[0]
     a = _parse_float(args[1], "a")

@@ -36,12 +36,27 @@ __all__ = [
 ]
 
 
+# The interpreter's default limit on the digits of an int read from or written to text.
+_MAX_EXPONENT = 4300
+
+
+def _fraction_from_text(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a decimal exponent whose magnitude exceeds
+    4300 before Fraction expands ``1e<k>`` to 10**k, which takes seconds."""
+    _, e, exponent = text.lower().rpartition("e")
+    if e:
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if digits.isdecimal() and (len(digits) > 4 or int(digits) > _MAX_EXPONENT):
+            raise ValueError(f"exponent exceeds {_MAX_EXPONENT} in {text!r}")
+    return Fraction(text)
+
+
 def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a Fraction, int, or 'p/q' string")
-    return Fraction(value)
+    return _fraction_from_text(value) if isinstance(value, str) else Fraction(value)
 
 
 def _coeff_float(c: Fraction) -> float:
@@ -81,7 +96,7 @@ class Polynomial:
         """Parse the ascending comma-separated coefficient format."""
         parts = text.split(",")
         try:
-            return cls(Fraction(part.strip()) for part in parts)
+            return cls(_fraction_from_text(part.strip()) for part in parts)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"malformed coefficient list: {text!r}") from None
 

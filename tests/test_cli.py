@@ -286,6 +286,28 @@ def test_env_precision_override(monkeypatch):
     )
     monkeypatch.setenv("KLASIKA_PRECISION", "banana")
     assert out(["ellipse", "perimeter", "2", "1"]).exit_code == 1
+    monkeypatch.setenv("KLASIKA_PRECISION", "1e-10000000")
+    assert out(["ellipse", "perimeter", "2", "1"]).exit_code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["disc", "1e10000000,0,1"],
+    ["trisect", "1e-1000000"],
+    ["partfrac", "1", "/", "1e-1000000,1"],
+    ["ellipse", "area", "1e-1000000", "1"],
+])
+def test_huge_decimal_exponent_is_refused_fast(argv):
+    t0 = time.perf_counter()
+    result = run(argv)
+    assert time.perf_counter() - t0 < 0.25
+    assert result.exit_code == 1
+    assert "1e" in result.payload["error"]
+
+
+def test_decimal_exponent_within_the_limit_is_answered():
+    result = run(["disc", "1e4290,0,1"])
+    assert result.exit_code == 0
+    assert result.payload["discriminant_resultant"] == str(-4 * 10**4290)
 
 
 def _random_argv(rng: random.Random) -> list[str]:

@@ -166,6 +166,19 @@ def test_text_roundtrip():
         Polynomial.from_text("1,foo,2")
 
 
+@pytest.mark.parametrize("text", ["1e4300", "-2.5E-4300", " 7e-0004300 "])
+def test_decimal_exponent_up_to_4300_is_read(text):
+    assert Polynomial.from_text(text)[0] == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1E-4301", "1e+0_4301", "3e10000000", "1e-" + "9" * 5000])
+def test_decimal_exponent_beyond_4300_is_refused_before_expansion(text):
+    with pytest.raises(ValueError):
+        Polynomial.from_text(text)
+    with pytest.raises(ValueError):
+        Polynomial([text])
+
+
 def test_str_parses_back_to_the_polynomial(rng):
     import sympy
 
