@@ -51,7 +51,10 @@ class CommandResult:
 
 
 def _fnum(x: float) -> float:
-    """Normalize -0.0 so rendered output is stable."""
+    """Normalize -0.0 so rendered output is stable; refuse inf and nan,
+    which JSON cannot carry, as a domain error."""
+    if not math.isfinite(x):
+        raise ValueError(f"the result {x} is not a finite number")
     return 0.0 if x == 0 else float(x)
 
 
@@ -179,7 +182,7 @@ def _cmd_solve(args, opts):
         "polynomial": f.to_text(),
         "roots": [[_fnum(z.real), _fnum(z.imag)] for z in zs],
         "residuals": [_fnum(r) for r in rs],
-        "tolerance": tol,
+        "tolerance": _fnum(tol),
         "within_tolerance": all(r < tol for r in rs),
     }
     lines = [f"roots of {f}"]

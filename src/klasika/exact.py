@@ -465,15 +465,22 @@ def _taylor_coeffs(g: list[int], r: Fraction, k: int) -> list[Fraction]:
     return [Fraction(shifted[i], powers[n - i]) for i in range(k)]
 
 
-def _simplest_fraction(c: int, k: int, e: int) -> Fraction:
-    """The least-denominator fraction in the open interval (c, c+1) * 2**e / 2**k,
-    by continued fractions on (a/b, c/d); d == 0 stands for c/d = inf."""
-    a, b, c, d = c << e, 1 << k, (c + 1) << e, 1 << k
-    h0, h1, k0, k1 = 0, 1, 1, 0
-    while (t := a // b) * d + d >= c:
-        h0, h1, k0, k1 = h1, t * h1 + h0, k1, t * k1 + k0
-        a, b, c, d = d, c - t * d, b, a - t * b
-    return Fraction((t + 1) * h1 + h0, (t + 1) * k1 + k0)
+def _node_candidates(c: int, k: int, e: int, an: int, a0: int) -> list[Fraction] | None:
+    """The one candidate, or none, in the open interval (c, c+1) * 2**e / 2**k
+    once it holds at most one point of Z/an or of a0/Z (an, a0 > 0); else None.
+
+    By the rational-root theorem a root p/q in lowest terms has q | an and
+    p | a0, so it is both m/an and a0/m' for whole m and m'.
+    """
+    lo, hi = c << e, (c + 1) << e
+    first, last = (lo * an >> k) + 1, -(-hi * an >> k) - 1  # the m with lo < m * 2**k / an < hi
+    if first >= last:
+        return [Fraction(first, an)] if first == last else []
+    if c:
+        first, last = (a0 << k) // hi + 1, -(-(a0 << k) // lo) - 1  # the m' with lo < a0 * 2**k / m' < hi
+        if first >= last:
+            return [Fraction(a0, first)] if first == last else []
+    return None
 
 
 def _positive_root_candidates(g: list[int]) -> list[Fraction]:
@@ -481,25 +488,28 @@ def _positive_root_candidates(g: list[int]) -> list[Fraction]:
 
     Collins-Akritas bisection on (0, 2**e): node (c, k) covers (c, c+1) * 2**e / 2**k
     and holds a local polynomial whose roots in (0, 1) are g's there, counted
-    by Descartes' rule.  A rational root's denominator divides an, so a node
-    narrower than 1/(2*an**2) holds at most one candidate: its simplest fraction.
+    by Descartes' rule.  A node with no sign variation is dropped; one with
+    at most one point of Z/an or of a0/Z gives that point, its only possible
+    rational root; one with a single variation is refined by the sign of g,
+    and any other is bisected.  A node at depth e + log2(an) is no wider
+    than 1/an, so no node goes deeper.
     """
     # Fujiwara: every root is below 2 * max |g[n-i] / g[n]| ** (1/i) < 2**e
-    an = abs(g[-1])
+    an, a0 = abs(g[-1]), abs(g[0])
     n, top = len(g) - 1, an.bit_length()
     steps = (-((top - 1 - abs(c).bit_length()) // (n - i)) for i, c in enumerate(g[:-1]))
     e = max(0, 1 + max(steps, default=-1))
-    limit = e + (2 * an * an).bit_length()  # a node this deep is narrower than 1/(2*an**2)
     found, stack = [], [(0, 0, [c << (e * i) for i, c in enumerate(g)])]
     while stack:
         c, k, h = stack.pop()
         variations = _sign_variations(_taylor_shift(h[::-1], 1))
-        if variations == 1:
-            found.append(_refine(g, c, k, e, limit, h[0] > 0))
-        elif variations > 1:
-            if k >= limit:
-                found.append(_simplest_fraction(c, k, e))
-                continue
+        if variations == 0:
+            continue
+        if (candidates := _node_candidates(c, k, e, an, a0)) is not None:
+            found += candidates
+        elif variations == 1:
+            found += _refine(g, c, k, e, h[0] > 0)
+        else:
             left = [x << (len(h) - 1 - i) for i, x in enumerate(h)]
             right = _taylor_shift(left, 1)
             if right[0] == 0:  # the midpoint is a root
@@ -510,36 +520,32 @@ def _positive_root_candidates(g: list[int]) -> list[Fraction]:
     return found
 
 
-def _refine(g: list[int], c: int, k: int, e: int, limit: int, positive_at_left: bool) -> Fraction:
-    """Sign bisection on g of node (c, k), which holds one simple root.
+def _refine(g: list[int], c: int, k: int, e: int, positive_at_left: bool) -> list[Fraction]:
+    """Sign bisection on g of node (c, k), which holds one simple root, until
+    the node holds at most one candidate or a midpoint is the root.
 
-    Returns the root once it is the interval's simplest fraction or a
-    midpoint, else the simplest fraction at depth limit.  The right end may
-    be a root, so only the sign at the left end is used.
+    The right end may be a root, so only the sign at the left end is used.
     """
-    n, r = len(g) - 1, Fraction(0)
-    while k < limit:
-        if not (c << e) * r.denominator < r.numerator << k < ((c + 1) << e) * r.denominator:
-            r = _simplest_fraction(c, k, e)  # else r is still the simplest
-            if _divide(g, [-r.numerator, r.denominator]) is not None:
-                return r
+    n, an, a0 = len(g) - 1, abs(g[-1]), abs(g[0])
+    while (candidates := _node_candidates(c, k, e, an, a0)) is None:
         k, mid, value = k + 1, (2 * c + 1) << e, 0
         for i in range(n, -1, -1):  # value = g(mid / 2**k) * 2**(k*n), by homogeneous Horner
             value = value * mid + (g[i] << (k * (n - i)))
         if value == 0:
-            return Fraction(mid, 1 << k)
+            return [Fraction(mid, 1 << k)]
         c = 2 * c + ((value > 0) == positive_at_left)
-    return _simplest_fraction(c, k, e)
+    return candidates
 
 
 def rational_roots(f: Polynomial) -> list[Fraction]:
     """All rational roots of f, with multiplicity, sorted ascending.
 
     f is split over Z into squarefree pieces; a root of the i-th has
-    multiplicity i and, in lowest terms p/q, q | an, its leading coefficient.
-    Exact Descartes bisection narrows each real root to an interval below
-    1/(2*an**2), whose simplest fraction is the one candidate; exact
-    division over Z checks it.  No integer is factored.
+    multiplicity i and, in lowest terms p/q, q | an and p | a0, the piece's
+    leading and constant coefficients.  Exact Descartes bisection narrows
+    each real root until its interval holds at most one point of Z/an or of
+    a0/Z, the one candidate there; one exact division over Z checks it.
+    No integer is factored.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every number as a root")

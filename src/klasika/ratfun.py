@@ -458,7 +458,9 @@ def ellipse_perimeter(a: float, b: float, tol: float = 1e-12) -> float:
     """
     if not (a >= b > 0):
         raise ValueError("require a >= b > 0 (swap the axes first if needed)")
-    e2 = (a * a - b * b) / (a * a)
+    shift = -math.frexp(a)[1]  # a power-of-two scale is exact, and keeps a * a in range
+    sa, sb = math.ldexp(a, shift), math.ldexp(b, shift)
+    e2 = (sa * sa - sb * sb) / (sa * sa)
 
     def integrand(t: float) -> float:
         s = math.sin(t)

@@ -193,6 +193,34 @@ def test_repeated_irrational_cluster_roots_are_fast():
     assert time.perf_counter() - t0 < 0.2
 
 
+@pytest.mark.parametrize("value", ["1e-800", "-1e-800"])
+def test_tiny_trisection_cosine_is_fast(value):
+    # 4x^3 - 3x - 10^-800 has a root near -10^-800/3, which the search
+    # narrows only until one point of Z/an or of a0/Z is left
+    t0 = time.perf_counter()
+    result = run(["trisect", value])
+    assert time.perf_counter() - t0 < 0.5
+    assert result.payload["constructible"] is False
+
+
+def test_non_monic_cubic_with_huge_coefficients_is_refused_fast():
+    # (2x - 1)(10^1000 x^2 - 3): each irrational root is narrowed to about 1/an, not 1/(2*an^2)
+    t0 = time.perf_counter()
+    result = run(["partfrac", "1", "/", "3,-6,-1e1000,2e1000"])
+    assert time.perf_counter() - t0 < 1.5
+    assert result.exit_code == 1
+    assert result.human_text == f"error: residual quadratic x^2 - 3/{10**1000} has irrational real roots"
+
+
+def test_root_with_huge_an_and_small_a0_is_fast():
+    # (3x - 1)(10^4000 x^2 + 1): Z/an is dense, a0/Z is what isolates 1/3
+    t0 = time.perf_counter()
+    result = run(["partfrac", "1", "/", "-1,3,-1e4000,3e4000"])
+    assert time.perf_counter() - t0 < 0.5
+    assert result.exit_code == 0
+    assert [r for _, r, _ in result.payload["linear_terms"]] == ["1/3"]
+
+
 def test_degree_64_gcd_is_fast():
     rng = random.Random(64)
     f = Polynomial([rng.randint(-100, 100) for _ in range(64)] + [97])
@@ -291,6 +319,30 @@ def test_env_precision_override(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    ["ellipse", "area", "1e200", "1e200"],
+    ["param", "parabola", "1", "2", "1e200"],
+    ["construct-eval", "*".join(["10"] * 401)],
+    ["solve", "1e308,1e308,1e308,1e308"],
+])
+def test_non_finite_result_is_a_domain_error(argv):
+    for mode in ([], ["--json"]):
+        result = run(mode + argv)
+        assert result.exit_code == 1
+        assert result.payload["kind"] == "domain"
+        assert "not a finite number" in result.payload["error"]
+
+
+@pytest.mark.parametrize("a, b", [(1e200, 1.0), (1e-300, 1e-310)])
+def test_ellipse_perimeter_at_extreme_scales(a, b):
+    # b/a is below 1e-10, so the ellipse is a flat segment of perimeter 4a
+    t0 = time.perf_counter()
+    result = run(["ellipse", "perimeter", repr(a), repr(b)])
+    assert time.perf_counter() - t0 < 0.5
+    assert result.exit_code == 0
+    assert result.payload["value"] == pytest.approx(4 * a, rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
     ["disc", "1e10000000,0,1"],
     ["trisect", "1e-1000000"],
     ["partfrac", "1", "/", "1e-1000000,1"],
@@ -337,6 +389,10 @@ def _random_argv(rng: random.Random) -> list[str]:
     return tokens
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
+
 def test_fuzz_never_crashes_smoke():
     rng = random.Random(1234)
     for _ in range(3000):
@@ -346,4 +402,4 @@ def test_fuzz_never_crashes_smoke():
         assert result.exit_code in (0, 1, 2)
         assert result.status in ("ok", "error")
         assert result.payload.get("kind") != "internal"
-        json.loads(result.to_json())
+        json.loads(result.to_json(), parse_constant=_refuse_constant)

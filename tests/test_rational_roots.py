@@ -221,6 +221,28 @@ def test_100_bit_coefficients(rng):
     check(expand_roots([Fraction(big, 3), Fraction(-1, big)] * 2), [Fraction(-1, big)] * 2 + [Fraction(big, 3)] * 2)
 
 
+def test_grid_neighbours_and_wide_grids(rng):
+    # Farey neighbours p1/q1 < p2/q2 (p2*q1 - p1*q2 = 1) are adjacent points of Z/an for an = q1*q2
+    for _ in range(30):
+        q1, q2 = rng.randint(1, 10**6), rng.randint(1, 10**6)
+        if math.gcd(q1, q2) != 1:
+            continue
+        p2 = pow(q1, -1, q2) + rng.randint(-3, 3) * q2
+        p1 = (p2 * q1 - 1) // q2
+        roots = [Fraction(p1, q1), Fraction(p2, q2)]
+        assert set(roots) <= set(check(planted(rng, roots, rng.choice((0, 2, 3)), Fraction(1))))
+    # |p| <= 3 over 40-digit q: Z/an is dense near the roots, a0/Z is sparse there
+    for _ in range(12):
+        roots = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(10**39, 10**40)) for _ in range(rng.randint(1, 3))]
+        assert set(roots) <= set(check(planted(rng, roots, rng.choice((0, 2, 4)), Fraction(1))))
+    # beside irreducible or irrational-root quadratics with 80-digit coefficients
+    for _ in range(12):
+        a, b, c = (rng.choice([-1, 1]) * rng.randrange(10**79, 10**80) for _ in range(3))
+        roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 3))]
+        coeffs = convolve(expand_roots(roots), [Fraction(c), Fraction(b), Fraction(a)])
+        check(coeffs, roots if math.isqrt(max(b * b - 4 * a * c, 0)) ** 2 != b * b - 4 * a * c else None)
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3, 5, 8, 13, 24])
 def test_random_dense_polynomials(degree):
     rng = random.Random(degree)
