@@ -13,11 +13,13 @@ the n x n Hankel matrix whose (i, j) entry is S_(i+j), where the power sums
 S_k of the roots are produced by Newton's identities from the coefficients
 alone.  The identities run over Z on a^k * S_k, for a the leading coefficient
 of f with its denominators cleared, and the Hankel matrix of those integers
-goes to the Bareiss determinant.  The sign factor (-1)^(n(n-1)/2) relating
+goes straight to the Bareiss elimination.  Its k x k minors carry the factor
+a^((k-1)(k-2)), so every elimination step after the first divides by a^2 as
+well as by the previous pivot, and the last pivot is the discriminant
+itself, times the denominators.  The sign factor (-1)^(n(n-1)/2) relating
 the product over ordered pairs of root differences to the squared product
 over unordered pairs appears twice between the two derivations and therefore
-cancels: for monic input the two routes agree exactly, and a non-monic
-leading coefficient only contributes the factor a_n^(2n-2).
+cancels, so the two routes agree exactly.
 
 Everything is exact over the rationals.  Determinants, and the linear
 solves and null spaces of `forms`, share one elimination: each row is
@@ -94,16 +96,22 @@ class SquareMatrix:
 
 
 def _eliminate(
-    rows: Sequence[Sequence[Fraction]], jordan: bool
+    rows: Sequence[Sequence[Fraction | int]], jordan: bool, extra: int = 1
 ) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free (Bareiss) elimination of rational rows over Z.
 
     Each row is first scaled to integers by its least common denominator.
     Every entry produced afterwards is a minor of that integer matrix, so
-    each division by the previous pivot is exact.  Columns without a pivot
-    are skipped.  With ``jordan`` the entries above each pivot are cleared
-    too (fraction-free Gauss-Jordan), so every pivot row is zero in every
-    other pivot column.
+    each division by the previous pivot is exact.  With ``jordan`` the
+    entries above each pivot are cleared too (fraction-free Gauss-Jordan),
+    so every pivot row is zero in every other pivot column, and columns
+    without a pivot are skipped.  Without it the elimination stops at the
+    first column without a pivot, where the determinant is 0.
+
+    Every step after the first also divides by ``extra``, which the caller
+    must know to be exact: after k pivots the entries are the (k+1)-rowed
+    minors divided by extra**(k(k-1)/2), and the last pivot of a nonsingular
+    n x n matrix is its determinant divided by extra**((n-1)(n-2)/2).
 
     Returns the eliminated rows, the pivot column of each leading row, and
     the factor by which the row scalings and swaps multiplied the
@@ -123,6 +131,8 @@ def _eliminate(
             break
         pivot_row = next((i for i in range(r, len(a)) if a[i][col]), None)
         if pivot_row is None:
+            if not jordan:
+                break
             continue
         if pivot_row != r:
             a[r], a[pivot_row] = a[pivot_row], a[r]
@@ -137,7 +147,7 @@ def _eliminate(
             lo = col if i > r else 0  # rows below are already zero left of col
             a[i] = row[:lo] + [(p * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
         pivots.append(col)
-        prev = p
+        prev = p * extra
     return a, pivots, scale
 
 
@@ -238,14 +248,23 @@ def discriminant_hankel(f: Polynomial) -> Fraction:
     Over Z, with F = d * f and a its leading coefficient, the entries are
     T_(i+j) = a**(i+j) * S_(i+j), so det [S_(i+j)] = det [T_(i+j)] / a**(n(n-1))
     and the discriminant is det [T_(i+j)] / (a**((n-1)(n-2)) * d**(2n-2)).
+
+    That power of a leaves during the elimination.  A minor of [T] on rows R
+    and columns C is a**(sum R + sum C) times the same minor of [S], by
+    Cauchy-Binet a symmetric integer polynomial in the roots of degree at most
+    max R + max C in each, which a**(max R + max C) makes integral.  So a
+    k-rowed minor of [T] is divisible by a**((k-1)(k-2)) whatever the rows,
+    and every Bareiss step after the first may divide by a**2 as well.
     """
     n = f.degree
     if f.is_zero or n < 2:
         raise ValueError("discriminant requires degree >= 2")
     d, ints = _clear_denominators(f.coeffs)
     t = _power_sums_z(ints, 2 * n - 2)
-    hankel = [t[i : i + n] for i in range(n)]
-    return determinant(hankel) / (ints[-1] ** ((n - 1) * (n - 2)) * d ** (2 * n - 2))
+    rows, pivots, sign = _eliminate([t[i : i + n] for i in range(n)], jordan=False, extra=ints[-1] ** 2)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(rows[-1][-1], sign * d ** (2 * n - 2))
 
 
 def has_repeated_roots(f: Polynomial) -> bool:

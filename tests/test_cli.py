@@ -252,6 +252,15 @@ def test_degree_64_discriminant_resultant_is_fast():
     assert d != 0
 
 
+def test_degree_64_non_monic_disc_is_fast():
+    f = _cap_polynomial()  # a 20-bit leading coefficient
+    t0 = time.perf_counter()
+    result = run(["disc", f.to_text()])
+    assert time.perf_counter() - t0 < 3.0
+    assert result.status == "ok"
+    assert result.payload["agree"] is True
+
+
 def test_ngon_17_json_golden():
     result = out(["ngon", "17", "--json"])
     assert result.exit_code == 0

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -185,6 +186,60 @@ def test_hankel_rescales_for_non_monic(rng):
         assert discriminant_hankel(g) == discriminant_resultant(g)
 
 
+def hankel_after_determinant(f: Polynomial) -> Fraction:
+    """det [T_(i+j)] / (a**((n-1)(n-2)) * d**(2n-2)), with the whole power of a
+    divided out after the determinant: T_k = a**k * S_k for F = d * f over Z
+    and a its leading coefficient, the power sums S_k taken over Q."""
+    n = f.degree
+    d = math.lcm(*(c.denominator for c in f.coeffs))
+    a = d * f.leading_coefficient
+    t = [a**k * s for k, s in enumerate(newton_power_sums_over_q(f, 2 * n - 2))]
+    assert all(v.denominator == 1 for v in t)
+    return determinant([t[i : i + n] for i in range(n)]) / (a ** ((n - 1) * (n - 2)) * d ** (2 * n - 2))
+
+
+def hankel_inputs():
+    """(kind, f) at degrees 2-16, with leading coefficients of up to 40 bits
+    over denominators up to 999: dense, sparse (at least half the
+    coefficients zero) and with a planted repeated root."""
+    for seed in range(120):
+        rng = random.Random(4000 + seed)
+        n = rng.randint(2, 16)
+        lead = Fraction(rng.choice([-1, 1]) * rng.randint(1, 1 << rng.choice([1, 8, 20, 40])), rng.choice([1, 3, 999]))
+        kind = ("dense", "sparse", "sparse", "repeated")[seed % 4]
+        if kind == "dense":
+            coeffs = [Fraction(rng.randint(-(1 << 20), 1 << 20), rng.randint(1, 99)) for _ in range(n)]
+            f = Polynomial(coeffs + [lead])
+        elif kind == "sparse":
+            coeffs = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(n)]
+            for i in rng.sample(range(n), (n + 2) // 2):  # at least half of all n + 1
+                coeffs[i] = 0
+            f = Polynomial(coeffs + [lead])
+            assert sum(c == 0 for c in f.coeffs) >= (n + 1) / 2
+        else:
+            square = Polynomial([rng.randint(-9, 9), rng.randint(1, 9)]) ** 2
+            rest = Polynomial([Fraction(rng.randint(-999, 999), rng.randint(1, 9)) for _ in range(n - 2)] + [lead])
+            f = square * rest
+        assert f.degree == n
+        yield kind, f
+
+
+def test_hankel_matches_sympy_and_the_determinant_formula():
+    swapped = 0
+    for kind, f in hankel_inputs():
+        expected = as_fraction(sympy.discriminant(sympy_poly(f)))
+        assert discriminant_hankel(f) == expected
+        assert hankel_after_determinant(f) == expected
+        assert discriminant_resultant(f) == expected
+        if kind == "repeated":
+            assert expected == 0
+        # a zero leading principal minor of the Hankel matrix forces a row swap
+        s = newton_power_sums_over_q(f, 2 * f.degree - 2)
+        minors = [determinant([s[i : i + k] for i in range(k)]) for k in range(1, f.degree)]
+        swapped += expected != 0 and 0 in minors
+    assert swapped >= 10
+
+
 def test_root_product_oracle(rng):
     for _ in range(60):
         n = rng.randint(2, 3)
@@ -199,18 +254,22 @@ def test_resultant_detects_common_roots():
     assert resultant(Polynomial([1, 0, 1]), Polynomial([1, 1])) != 0  # coprime
 
 
+def sympy_poly(p: Polynomial) -> sympy.Poly:
+    x = sympy.Symbol("x")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x, domain="QQ")
+
+
+def as_fraction(r) -> Fraction:
+    r = sympy.Rational(r)
+    return Fraction(int(r.p), int(r.q))
+
+
 def sympy_resultant(f: Polynomial, g: Polynomial) -> Fraction:
     """sympy's resultant, for deg f >= deg g only: when deg f < deg g and both
     are odd, sympy 1.14 returns -Res(f, g) (x - 3 and x^3 + x + 5 give -35,
     where its own `sylvester(f, g, x).det()` gives 35)."""
     assert f.degree >= g.degree
-    x = sympy.Symbol("x")
-
-    def as_poly(p: Polynomial):
-        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x, domain="QQ")
-
-    r = sympy.Rational(sympy.resultant(as_poly(f), as_poly(g)))
-    return Fraction(int(r.p), int(r.q))
+    return as_fraction(sympy.resultant(sympy_poly(f), sympy_poly(g)))
 
 
 def remainder_degrees(f: Polynomial, g: Polynomial) -> list[int]:
