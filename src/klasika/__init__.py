@@ -17,7 +17,9 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each layer module and the public names it defines, in `__all__` order.
+# The one list of public names: each layer module and the names it defines.
+# A layer's `__all__` is its row here, read when the layer is imported (the
+# package is initialised by then), so a name is declared public only here.
 _EXPORTS = {
     "exact": ("Polynomial", "Rational", "poly_gcd", "rational_roots"),
     "disc": (
@@ -26,25 +28,26 @@ _EXPORTS = {
     ),
     "roots": (
         "DepressedPolynomial", "CubicRoots", "depress", "solve_quadratic",
-        "solve_cubic_cardano", "roots_of_unity",
+        "solve_cubic_cardano", "roots_of_unity", "residual_tolerance",
     ),
     "forms": (
         "BinaryForm", "TernaryForm", "SymMatrix", "Inertia", "ConicKind", "QuadricKind",
         "Diagonalization", "form_to_matrix", "matrix_to_form", "form_discriminant",
         "is_positive_definite", "transform_form", "char_poly", "inertia", "classify_conic",
-        "classify_quadric", "orthogonal_diagonalize", "diagonal_substitution",
-        "solve_linear_system", "rational_nullspace",
+        "classify_quadric", "quadric_degeneracy_note", "orthogonal_diagonalize",
+        "diagonal_substitution", "solve_linear_system", "rational_nullspace",
     ),
     "construct": (
-        "Num", "Add", "Sub", "Mul", "Div", "Sqrt", "ConstructibilityVerdict",
+        "Num", "Add", "Sub", "Mul", "Div", "Sqrt", "ConstructibleExpr", "ConstructibilityVerdict",
         "parse_constructible", "eval_constructible", "is_fermat_prime", "ngon_constructible",
         "trisectable", "cube_scaling", "cube_doubling", "circle_squaring",
         "degree_power_of_two_check",
     ),
     "ratfun": (
-        "UnsupportedFactorizationError", "RealFactorization", "PartialFractions",
-        "SymbolicAntiderivative", "ConicParam", "factor_real", "partial_fractions",
-        "integrate_rational", "ellipse_area", "ellipse_perimeter",
+        "UnsupportedFactorizationError", "RealFactorization", "PartialFractions", "PolyTerm",
+        "LogAbs", "PowerTerm", "LogQuadratic", "ArctanTerm", "SymbolicAntiderivative",
+        "ConicParam", "factor_real", "partial_fractions", "integrate_rational", "ellipse_area",
+        "ellipse_perimeter", "adaptive_simpson",
     ),
 }
 

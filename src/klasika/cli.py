@@ -4,9 +4,13 @@ Dispatch is hand-rolled rather than argparse-based because coefficient lists
 like ``-1,0,-6,8`` start with a dash and standard option parsing would eat
 them.  Every subcommand produces a CommandResult; `--json` prints one
 well-formed object (sorted keys, schema version 1), plain mode prints the
-human text.  Exit codes: 0 ok, 1 domain error, 2 usage error.  Each handler
-imports the one layer it calls, so a subcommand loads only that layer and
-what it imports.
+human text.  Exit codes: 0 ok, 1 domain error, 2 usage error.
+
+`_COMMANDS` names each subcommand once, with its handler, help syntax and
+help text; the help screen is built from it.  A handler returns its payload
+and human text, and `run` adds the command name.  Each handler imports the
+one layer it calls, so a subcommand loads only that layer and what it
+imports.
 
 Coefficient lists are ASCENDING (constant term first): ``disc 2,-3,1`` is
 the polynomial x^2 - 3x + 2.  Quadric cross coefficients are passed as
@@ -110,32 +114,34 @@ def _parse_int(text: str, what: str) -> int:
         raise ValueError(f"malformed integer for {what}: {text!r}") from None
 
 
-def _need_args(args: list[str], count: int, usage: str) -> None:
+def _need_args(args: list[str], count: int, usage: str = "") -> None:
+    """Refuse a wrong argument count.  An empty usage text stands for the
+    command's help syntax, which `run` fills in."""
     if len(args) != count:
-        raise UsageError(f"usage: {usage}")
+        raise UsageError(usage and f"usage: {usage}")
 
 
-def _verdict_payload(v) -> dict:
+def _verdict(title: str, v) -> tuple[dict, str]:
+    """Payload and text of a constructibility verdict headed by `title`."""
     word = {True: "yes", False: "no", None: "unknown"}[v.constructible]
-    return {
-        "constructible": v.constructible,
-        "constructible_text": word,
-        "reason": v.reason,
-        **v.details,
-    }
+    payload = {"constructible": v.constructible, "constructible_text": word, "reason": v.reason}
+    return {**payload, **v.details}, f"{title}: {word}\n  {v.reason}"
 
 
 # -- subcommand handlers ------------------------------------------------------------
 
 
+def _one_poly(args, min_degree: int) -> Polynomial:
+    _need_args(args, 1)
+    return _parse_poly(args[0], min_degree)
+
+
 def _cmd_disc(args, opts):
     from . import disc
-    _need_args(args, 1, "disc <coeffs>")
-    f = _parse_poly(args[0], min_degree=2)
+    f = _one_poly(args, 2)
     d_res = disc.discriminant_resultant(f)
     d_han = disc.discriminant_hankel(f)
     payload = {
-        "command": "disc",
         "polynomial": f.to_text(),
         "discriminant_resultant": str(d_res),
         "discriminant_hankel": str(d_han),
@@ -153,18 +159,15 @@ def _cmd_disc(args, opts):
 
 def _cmd_repeated(args, opts):
     from . import disc
-    _need_args(args, 1, "repeated <coeffs>")
-    f = _parse_poly(args[0], min_degree=1)
+    f = _one_poly(args, 1)
     result = disc.has_repeated_roots(f)
-    payload = {"command": "repeated", "polynomial": f.to_text(), "has_repeated_roots": result}
     human = f"{f}: {'has a repeated root' if result else 'all roots are simple'}"
-    return payload, human
+    return {"polynomial": f.to_text(), "has_repeated_roots": result}, human
 
 
 def _cmd_solve(args, opts):
     from . import roots
-    _need_args(args, 1, "solve <coeffs>")
-    f = _parse_poly(args[0], min_degree=2)
+    f = _one_poly(args, 2)
     if f.degree not in (2, 3):
         raise ValueError(f"solve supports degree 2 or 3, got degree {f.degree}")
     tol = opts.get("tol")
@@ -178,7 +181,6 @@ def _cmd_solve(args, opts):
         tol = tol if tol is not None else out.tolerance
         zs, rs = list(out.roots), list(out.residuals)
     payload = {
-        "command": "solve",
         "polynomial": f.to_text(),
         "roots": [[_fnum(z.real), _fnum(z.imag)] for z in zs],
         "residuals": [_fnum(r) for r in rs],
@@ -193,52 +195,38 @@ def _cmd_solve(args, opts):
 
 def _cmd_depress(args, opts):
     from . import roots
-    _need_args(args, 1, "depress <coeffs>")
-    f = _parse_poly(args[0], min_degree=2)
+    f = _one_poly(args, 2)
     dep = roots.depress(f)
-    payload = {
-        "command": "depress",
-        "polynomial": f.to_text(),
-        "depressed": dep.poly.to_text(),
-        "shift": str(dep.shift),
-    }
-    human = f"{f}  ->  {dep.poly}   (x = y - ({dep.shift}))"
-    return payload, human
+    payload = {"polynomial": f.to_text(), "depressed": dep.poly.to_text(), "shift": str(dep.shift)}
+    return payload, f"{f}  ->  {dep.poly}   (x = y - ({dep.shift}))"
 
 
 def _cmd_classify_conic(args, opts):
     from . import forms
-    _need_args(args, 1, "classify-conic a,b,c,d,e,lambda")
+    _need_args(args, 1)
     a, b, c, d, e, lam = _parse_fraction_list(args[0], 6, "classify-conic")
     kind, sig = forms._classify_conic(a, b, c, d, e, lam)
     payload = {
-        "command": "classify-conic",
         "coefficients": [str(v) for v in (a, b, c, d, e, lam)],
         "kind": kind.value,
         "quadratic_inertia": list(sig.as_tuple()),
     }
     lhs = _join_terms(_terms([(a, "x^2"), (b, "x*y"), (c, "y^2"), (d, "x"), (e, "y")]))
-    human = f"{lhs} = {lam}:  {kind.value}"
-    return payload, human
+    return payload, f"{lhs} = {lam}:  {kind.value}"
 
 
-def _ternary_from_arg(text: str):
+def _ternary_form(args):
     from . import forms
-    a, b, c, dd, ee, ff = _parse_fraction_list(text, 6, "quadric")
+    _need_args(args, 1)
+    a, b, c, dd, ee, ff = _parse_fraction_list(args[0], 6, "quadric")
     return forms.TernaryForm.from_equation_coefficients(a, b, c, dd, ee, ff)
 
 
 def _cmd_classify_quadric(args, opts):
     from . import forms
-    _need_args(args, 1, "classify-quadric a,b,c,d,e,f")
-    form = _ternary_from_arg(args[0])
-    kind, sig = forms._classify_quadric(form)
+    kind, sig = forms._classify_quadric(_ternary_form(args))
     note = forms._degeneracy_note(sig)
-    payload = {
-        "command": "classify-quadric",
-        "inertia": list(sig.as_tuple()),
-        "kind": kind.value,
-    }
+    payload = {"inertia": list(sig.as_tuple()), "kind": kind.value}
     if note:
         payload["note"] = note
     human = f"inertia {sig.as_tuple()}:  {kind.value}" + (f"\n  note: {note}" if note else "")
@@ -247,13 +235,10 @@ def _cmd_classify_quadric(args, opts):
 
 def _cmd_diagonalize(args, opts):
     from . import forms
-    _need_args(args, 1, "diagonalize a,b,c,d,e,f")
-    form = _ternary_from_arg(args[0])
-    dg = forms.orthogonal_diagonalize(forms.form_to_matrix(form))
+    dg = forms.orthogonal_diagonalize(forms.form_to_matrix(_ternary_form(args)))
     substitution, diag_coeffs = tuple(zip(*dg.S)), dg.D  # as forms.diagonal_substitution
     tol = opts.get("tol", 1e-6)
     payload = {
-        "command": "diagonalize",
         "substitution": [[_fnum(v) for v in row] for row in substitution],
         "diagonal_form": [_fnum(v) for v in diag_coeffs],
         "residual": _fnum(dg.residual),
@@ -273,91 +258,64 @@ def _cmd_diagonalize(args, opts):
 
 def _cmd_ngon(args, opts):
     from . import construct
-    _need_args(args, 1, "ngon <n>")
+    _need_args(args, 1)
     n = _parse_int(args[0], "n")
-    verdict = construct.ngon_constructible(n)
-    payload = {"command": "ngon", "n": n, **_verdict_payload(verdict)}
-    human = f"regular {n}-gon constructible: {payload['constructible_text']}\n  {verdict.reason}"
-    return payload, human
+    return _verdict(f"regular {n}-gon constructible", construct.ngon_constructible(n))
 
 
 def _cmd_trisect(args, opts):
     from . import construct
     _need_args(args, 1, "trisect <cos3a as p/q>")
     value = _parse_fraction(args[0])
-    verdict = construct.trisectable(value)
-    payload = {"command": "trisect", **_verdict_payload(verdict)}
-    human = f"angle with cos(3a) = {value} trisectable: {payload['constructible_text']}\n  {verdict.reason}"
-    return payload, human
+    return _verdict(f"angle with cos(3a) = {value} trisectable", construct.trisectable(value))
 
 
 def _cmd_double_cube(args, opts):
     from . import construct
-    _need_args(args, 0, "double-cube")
-    verdict = construct.cube_doubling()
-    payload = {"command": "double-cube", **_verdict_payload(verdict)}
-    human = f"doubling the cube: {payload['constructible_text']}\n  {verdict.reason}"
-    return payload, human
+    _need_args(args, 0)
+    return _verdict("doubling the cube", construct.cube_doubling())
 
 
 def _cmd_square_circle(args, opts):
     from . import construct
-    _need_args(args, 0, "square-circle")
-    verdict = construct.circle_squaring()
-    payload = {"command": "square-circle", **_verdict_payload(verdict)}
-    human = f"squaring the circle: {payload['constructible_text']}\n  {verdict.reason}"
-    return payload, human
+    _need_args(args, 0)
+    return _verdict("squaring the circle", construct.circle_squaring())
 
 
 def _cmd_construct_eval(args, opts):
     from . import construct
-    _need_args(args, 1, 'construct-eval "<expr>"')
+    _need_args(args, 1)
     try:
         expr = construct.parse_constructible(args[0])
     except ValueError as exc:
         raise UsageError(f"cannot parse expression: {exc}") from None
     value, bound = construct.eval_constructible(expr)
-    payload = {
-        "command": "construct-eval",
-        "expression": args[0],
-        "value": _fnum(value),
-        "degree_bound": bound,
-    }
-    human = f"{args[0]} = {value!r}   (tower degree bound {bound})"
-    return payload, human
+    payload = {"expression": args[0], "value": _fnum(value), "degree_bound": bound}
+    return payload, f"{args[0]} = {value!r}   (tower degree bound {bound})"
 
 
-def _split_ratfun_args(args, usage):
+def _ratfun_args(args, usage: str) -> tuple[Polynomial, Polynomial]:
+    """p and q from ``<p> / <q>`` or from one ``<p>/<q>`` argument."""
     if len(args) == 3 and args[1] == "/":
-        return args[0], args[2]
-    if len(args) == 1 and args[0].count("/") == 1 and "," in args[0]:
+        top, bottom = args[0], args[2]
+    elif len(args) == 1 and args[0].count("/") == 1 and "," in args[0]:
         top, bottom = args[0].split("/")
-        return top, bottom
-    raise UsageError(f"usage: {usage}")
+    else:
+        raise UsageError(f"usage: {usage}")
+    return _parse_poly(top), _parse_poly(bottom)
 
 
 def _cmd_integrate(args, opts):
     from . import ratfun
-    top, bottom = _split_ratfun_args(args, "integrate <p-coeffs> / <q-coeffs>")
-    p = _parse_poly(top)
-    q = _parse_poly(bottom)
-    anti = ratfun.integrate_rational(p, q)
-    rendered = anti.render()
-    payload = {
-        "command": "integrate",
-        "numerator": p.to_text(),
-        "denominator": q.to_text(),
-        "antiderivative": rendered,
-    }
-    human = f"integral of ({p}) / ({q}) dx = {rendered}"
-    return payload, human
+    p, q = _ratfun_args(args, "integrate <p-coeffs> / <q-coeffs>")
+    rendered = ratfun.integrate_rational(p, q).render()
+    payload = {"numerator": p.to_text(), "denominator": q.to_text(), "antiderivative": rendered}
+    return payload, f"integral of ({p}) / ({q}) dx = {rendered}"
 
 
 def _cmd_partfrac(args, opts):
     from . import ratfun
-    top, bottom = _split_ratfun_args(args, "partfrac <p-coeffs> / <q-coeffs>")
-    p = _parse_poly(top)
-    q = _parse_poly(bottom)
+    p, q = _ratfun_args(args, "partfrac <p-coeffs> / <q-coeffs>")
     pf = ratfun.partial_fractions(p, q)
     pieces = []
     if not pf.polynomial_part.is_zero:
@@ -371,7 +329,6 @@ def _cmd_partfrac(args, opts):
         den = str(Polynomial([qq, pp, 1]))
         pieces.append(f"({num})/({den})")
     payload = {
-        "command": "partfrac",
         "numerator": p.to_text(),
         "denominator": q.to_text(),
         "polynomial_part": pf.polynomial_part.to_text(),
@@ -385,13 +342,12 @@ def _cmd_partfrac(args, opts):
 def _cmd_ellipse(args, opts):
     from . import ratfun
     if len(args) != 3 or args[0] not in ("area", "perimeter"):
-        raise UsageError("usage: ellipse area|perimeter <a> <b>")
+        raise UsageError()
+    mode = args[0]
     a = _parse_float(args[1], "a")
     b = _parse_float(args[2], "b")
-    if args[0] == "area":
+    if mode == "area":
         value = ratfun.ellipse_area(a, b)
-        payload = {"command": "ellipse", "mode": "area", "a": a, "b": b, "value": _fnum(value)}
-        human = f"ellipse area (a={_fmt(a)}, b={_fmt(b)}): {_fmt(value)}"
     else:
         tol = 1e-12
         env = os.environ.get("KLASIKA_PRECISION")
@@ -400,9 +356,8 @@ def _cmd_ellipse(args, opts):
             if not (0 < tol < 1):
                 raise ValueError(f"KLASIKA_PRECISION must be in (0, 1), got {env!r}")
         value = ratfun.ellipse_perimeter(a, b, tol=tol)
-        payload = {"command": "ellipse", "mode": "perimeter", "a": a, "b": b, "value": _fnum(value)}
-        human = f"ellipse perimeter (a={_fmt(a)}, b={_fmt(b)}): {_fmt(value)}"
-    return payload, human
+    payload = {"mode": mode, "a": a, "b": b, "value": _fnum(value)}
+    return payload, f"ellipse {mode} (a={_fmt(a)}, b={_fmt(b)}): {_fmt(value)}"
 
 
 def _cmd_param(args, opts):
@@ -417,7 +372,6 @@ def _cmd_param(args, opts):
     residual = conic.implicit_residual(x, y)
     tol = opts.get("tol", 1e-10)
     payload = {
-        "command": "param",
         "kind": kind,
         "a": a,
         "b": b,
@@ -431,45 +385,34 @@ def _cmd_param(args, opts):
     return payload, human
 
 
-_HANDLERS = {
-    "disc": _cmd_disc,
-    "repeated": _cmd_repeated,
-    "solve": _cmd_solve,
-    "depress": _cmd_depress,
-    "classify-conic": _cmd_classify_conic,
-    "classify-quadric": _cmd_classify_quadric,
-    "diagonalize": _cmd_diagonalize,
-    "ngon": _cmd_ngon,
-    "trisect": _cmd_trisect,
-    "double-cube": _cmd_double_cube,
-    "square-circle": _cmd_square_circle,
-    "construct-eval": _cmd_construct_eval,
-    "integrate": _cmd_integrate,
-    "partfrac": _cmd_partfrac,
-    "ellipse": _cmd_ellipse,
-    "param": _cmd_param,
+# Each subcommand once: its handler, its help syntax and its help text.  The
+# syntax's first word is the subcommand's name, and the syntax is also its
+# usage-error text unless the handler names its own.
+_COMMANDS = {
+    syntax.split()[0]: (handler, syntax, text)
+    for handler, syntax, text in [
+        (_cmd_disc, "disc <coeffs>", "discriminant, both routes (coeffs ascending: a0,a1,...)"),
+        (_cmd_repeated, "repeated <coeffs>", "repeated-root test"),
+        (_cmd_solve, "solve <coeffs>", "roots of a degree-2/3 polynomial with residuals"),
+        (_cmd_depress, "depress <coeffs>", "remove the second-highest term"),
+        (_cmd_classify_conic, "classify-conic a,b,c,d,e,lambda", "kind of ax^2+bxy+cy^2+dx+ey = lambda"),
+        (_cmd_classify_quadric, "classify-quadric a,b,c,d,e,f", "kind of ax^2+by^2+cz^2+dxy+exz+fyz = h"),
+        (_cmd_diagonalize, "diagonalize a,b,c,d,e,f", "orthogonal substitution and diagonal form"),
+        (_cmd_ngon, "ngon <n>", "regular n-gon constructibility"),
+        (_cmd_trisect, "trisect <p/q>", "trisectability of an angle with cos(3a) = p/q"),
+        (_cmd_double_cube, "double-cube", "the classical cube-doubling verdict"),
+        (_cmd_square_circle, "square-circle", "the classical circle-squaring verdict"),
+        (_cmd_construct_eval, 'construct-eval "<expr>"', "evaluate a +,-,*,/,sqrt expression with degree bound"),
+        (_cmd_integrate, "integrate <p> / <q>", "antiderivative of a rational function"),
+        (_cmd_partfrac, "partfrac <p> / <q>", "partial-fraction decomposition"),
+        (_cmd_ellipse, "ellipse area|perimeter <a> <b>", "ellipse area / perimeter"),
+        (_cmd_param, "param <kind> <a> <b> <t>", "rational parametrization point of a conic"),
+    ]
 }
 
-_USAGE = """usage: klasika [--json] [--tol X] <command> ...
-
-commands:
-  disc <coeffs>                      discriminant, both routes (coeffs ascending: a0,a1,...)
-  repeated <coeffs>                  repeated-root test
-  solve <coeffs>                     roots of a degree-2/3 polynomial with residuals
-  depress <coeffs>                   remove the second-highest term
-  classify-conic a,b,c,d,e,lambda    kind of ax^2+bxy+cy^2+dx+ey = lambda
-  classify-quadric a,b,c,d,e,f       kind of ax^2+by^2+cz^2+dxy+exz+fyz = h
-  diagonalize a,b,c,d,e,f            orthogonal substitution and diagonal form
-  ngon <n>                           regular n-gon constructibility
-  trisect <p/q>                      trisectability of an angle with cos(3a) = p/q
-  double-cube                        the classical cube-doubling verdict
-  square-circle                      the classical circle-squaring verdict
-  construct-eval "<expr>"            evaluate a +,-,*,/,sqrt expression with degree bound
-  integrate <p> / <q>                antiderivative of a rational function
-  partfrac <p> / <q>                 partial-fraction decomposition
-  ellipse area|perimeter <a> <b>     ellipse area / perimeter
-  param <kind> <a> <b> <t>           rational parametrization point of a conic
-"""
+_USAGE = "usage: klasika [--json] [--tol X] <command> ...\n\ncommands:\n" + "".join(
+    f"  {syntax:<35}{text}\n" for _, syntax, text in _COMMANDS.values()
+)
 
 
 def run(argv: list[str]) -> CommandResult:
@@ -498,14 +441,17 @@ def run(argv: list[str]) -> CommandResult:
         if not positional:
             raise UsageError("no command given\n" + _USAGE)
         command, rest = positional[0], positional[1:]
-        handler = _HANDLERS.get(command)
-        if handler is None:
+        if command not in _COMMANDS:
             raise UsageError(f"unknown command {command!r}")
-        payload, human = handler(rest, opts)
-        return CommandResult("ok", payload, human, 0)
+        handler, syntax, _ = _COMMANDS[command]
+        try:
+            payload, human = handler(rest, opts)
+        except UsageError as exc:
+            raise UsageError(str(exc) or f"usage: {syntax}") from None
+        return CommandResult("ok", {"command": command, **payload}, human, 0)
     except UsageError as exc:
         return CommandResult("error", {"error": str(exc), "kind": "usage"}, f"error: {exc}", 2)
-    except (ValueError, ZeroDivisionError, OverflowError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return CommandResult("error", {"error": str(exc), "kind": "domain"}, f"error: {exc}", 1)
     except RecursionError:
         return CommandResult(

@@ -26,27 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
+from . import _EXPORTS
 from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, rational_roots
 
-__all__ = [
-    "Num",
-    "Add",
-    "Sub",
-    "Mul",
-    "Div",
-    "Sqrt",
-    "ConstructibleExpr",
-    "ConstructibilityVerdict",
-    "parse_constructible",
-    "eval_constructible",
-    "is_fermat_prime",
-    "ngon_constructible",
-    "trisectable",
-    "cube_scaling",
-    "cube_doubling",
-    "circle_squaring",
-    "degree_power_of_two_check",
-]
+__all__ = list(_EXPORTS["construct"])
 
 
 # -- expression trees ------------------------------------------------------------
@@ -345,27 +328,13 @@ def trisectable(cos3a: RationalLike) -> ConstructibilityVerdict:
     cos3a = _as_fraction(cos3a)
     if abs(cos3a) > 1:
         raise ValueError(f"|cos 3a| must be <= 1, got {cos3a}")
-    cubic = Polynomial(_clear_denominators([-cos3a, -3, 0, 4])[1])
-    roots = rational_roots(cubic)
-    details = {
-        "cos_3a": str(cos3a),
-        "witness_cubic": cubic.to_text(),
-    }
-    if roots:
-        r = roots[0]
-        cofactor = cubic // Polynomial([-r, 1])
-        details["rational_root"] = str(r)
-        details["quadratic_cofactor"] = cofactor.to_text()
-        return ConstructibilityVerdict(
-            True,
-            f"{cubic} has rational root {r}; cos(a) has degree <= 2 over Q",
-            details,
-        )
-    return ConstructibilityVerdict(
-        False,
-        f"{cubic} has no rational root, hence is irreducible; degree 3 is not a power of 2",
-        details,
-    )
+    details = {"cos_3a": str(cos3a)}
+
+    def split(cubic: Polynomial, r: Fraction) -> str:
+        details["quadratic_cofactor"] = (cubic // Polynomial([-r, 1])).to_text()
+        return f"{cubic} has rational root {r}; cos(a) has degree <= 2 over Q"
+
+    return _cubic_verdict([-cos3a, -3, 0, 4], details, split)
 
 
 def cube_scaling(factor: RationalLike) -> ConstructibilityVerdict:
@@ -373,14 +342,22 @@ def cube_scaling(factor: RationalLike) -> ConstructibilityVerdict:
     factor = _as_fraction(factor)
     if factor <= 0:
         raise ValueError("volume factor must be positive")
-    cubic = Polynomial(_clear_denominators([-factor, 0, 0, 1])[1])
+    return _cubic_verdict(
+        [-factor, 0, 0, 1], {"volume_factor": str(factor)},
+        lambda cubic, r: f"the cube root of {factor} is the rational number {r}",
+    )
+
+
+def _cubic_verdict(coeffs: list, details: dict, root_reason) -> ConstructibilityVerdict:
+    """The verdict on a witness cubic (ascending rational coefficients): yes if
+    it has a rational root, for the reason `root_reason(cubic, root)` gives;
+    otherwise no, since it is then irreducible of degree 3."""
+    cubic = Polynomial(_clear_denominators(coeffs)[1])
+    details["witness_cubic"] = cubic.to_text()
     roots = rational_roots(cubic)
-    details = {"volume_factor": str(factor), "witness_cubic": cubic.to_text()}
     if roots:
         details["rational_root"] = str(roots[0])
-        return ConstructibilityVerdict(
-            True, f"the cube root of {factor} is the rational number {roots[0]}", details
-        )
+        return ConstructibilityVerdict(True, root_reason(cubic, roots[0]), details)
     return ConstructibilityVerdict(
         False,
         f"{cubic} has no rational root, hence is irreducible; degree 3 is not a power of 2",

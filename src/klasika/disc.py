@@ -32,18 +32,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import _EXPORTS
 from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, _resultant_z
 
-__all__ = [
-    "SquareMatrix",
-    "determinant",
-    "sylvester_matrix",
-    "resultant",
-    "power_sums",
-    "discriminant_resultant",
-    "discriminant_hankel",
-    "has_repeated_roots",
-]
+__all__ = list(_EXPORTS["disc"])
 
 
 class SquareMatrix:

@@ -24,16 +24,13 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from . import _EXPORTS
+
 Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
-__all__ = [
-    "Rational",
-    "Polynomial",
-    "poly_gcd",
-    "rational_roots",
-]
+__all__ = list(_EXPORTS["exact"])
 
 
 # The interpreter's default limit on the digits of an int read from or written to text.

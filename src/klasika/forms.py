@@ -32,36 +32,15 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
+from . import _EXPORTS
 from .disc import SquareMatrix, _eliminate
-from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators
+from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, _coeff_float
 from .exact import _rational_split, _sign_variations
 from .roots import _newton, solve_cubic_cardano, solve_quadratic
 # Not called here; perfbench's layer tracer wraps this binding by name.
 from .disc import determinant  # noqa: F401
 
-__all__ = [
-    "BinaryForm",
-    "TernaryForm",
-    "SymMatrix",
-    "Inertia",
-    "ConicKind",
-    "QuadricKind",
-    "Diagonalization",
-    "form_to_matrix",
-    "matrix_to_form",
-    "form_discriminant",
-    "is_positive_definite",
-    "transform_form",
-    "char_poly",
-    "inertia",
-    "classify_conic",
-    "classify_quadric",
-    "quadric_degeneracy_note",
-    "orthogonal_diagonalize",
-    "diagonal_substitution",
-    "solve_linear_system",
-    "rational_nullspace",
-]
+__all__ = list(_EXPORTS["forms"])
 
 
 @dataclass(frozen=True)
@@ -466,11 +445,14 @@ def orthogonal_diagonalize(m: SymMatrix) -> Diagonalization:
     rational symmetric matrix) get exact null-space bases; irrational ones
     are necessarily simple, are polished by Newton on the characteristic
     polynomial, and get their eigenvector from floating-point elimination.
-    Columns are ordered by ascending eigenvalue.
+    Columns are ordered by ascending eigenvalue.  Some eigenvalue has
+    |lambda| >= max |m_ij|, so an entry beyond the double range is refused
+    before any exact work: no float answer could hold that eigenvalue.
     """
     if m.n not in (2, 3):
         raise ValueError("orthogonal diagonalization supports 2x2 and 3x3 only")
     n = m.n
+    mf = [[_coeff_float(v) for v in row] for row in m.rows]
     p = char_poly(m)
     split = _rational_split(p)
     pairs: list[tuple[float, list[list[float]]]] = []
@@ -496,7 +478,7 @@ def orthogonal_diagonalize(m: SymMatrix) -> Diagonalization:
             irr = [z.real for z in solve_cubic_cardano(remaining).roots]
         for lam_f in _newton(remaining, irr, 3):
             shifted = [
-                [float(m.rows[i][j]) - (lam_f if i == j else 0.0) for j in range(n)]
+                [mf[i][j] - (lam_f if i == j else 0.0) for j in range(n)]
                 for i in range(n)
             ]
             pairs.append((lam_f, [_float_null_vector(shifted)]))
@@ -508,21 +490,21 @@ def orthogonal_diagonalize(m: SymMatrix) -> Diagonalization:
     eigenvalues = tuple(lam for lam, vecs in pairs for _ in vecs)
 
     s_rows = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-    recon_residual = _reconstruction_residual(m, s_rows, eigenvalues)
+    recon_residual = _reconstruction_residual(mf, s_rows, eigenvalues)
     return Diagonalization(s_rows, eigenvalues, recon_residual)
 
 
 def _reconstruction_residual(
-    m: SymMatrix, s_rows: tuple[tuple[float, ...], ...], d: tuple[float, ...]
+    mf: list[list[float]], s_rows: tuple[tuple[float, ...], ...], d: tuple[float, ...]
 ) -> float:
-    n = m.n
+    n = len(mf)
     worst = 0.0
     for i in range(n):
         for j in range(n):
             acc = 0.0
             for k in range(n):
                 acc += s_rows[i][k] * d[k] * s_rows[j][k]
-            worst = max(worst, abs(acc - float(m.rows[i][j])))
+            worst = max(worst, abs(acc - mf[i][j]))
     return worst
 
 

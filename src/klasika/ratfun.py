@@ -34,30 +34,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from . import _EXPORTS
 from .exact import Polynomial, _clear_denominators, _join_terms, _poly_terms, _rational_split
 from .exact import _taylor_coeffs, _terms
 # Not called here; perfbench's layer tracer wraps these bindings by name.
 from .exact import rational_roots  # noqa: F401
 from .forms import solve_linear_system  # noqa: F401
 
-__all__ = [
-    "UnsupportedFactorizationError",
-    "RealFactorization",
-    "PartialFractions",
-    "PolyTerm",
-    "LogAbs",
-    "PowerTerm",
-    "LogQuadratic",
-    "ArctanTerm",
-    "SymbolicAntiderivative",
-    "ConicParam",
-    "factor_real",
-    "partial_fractions",
-    "integrate_rational",
-    "ellipse_area",
-    "ellipse_perimeter",
-    "adaptive_simpson",
-]
+__all__ = list(_EXPORTS["ratfun"])
 
 
 class UnsupportedFactorizationError(ValueError):

@@ -29,19 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _EXPORTS
 # Not called here; perfbench's layer tracer wraps this binding by name.
 from .disc import discriminant_resultant  # noqa: F401
 from .exact import Polynomial, _coeff_float, _horner_float
 
-__all__ = [
-    "DepressedPolynomial",
-    "CubicRoots",
-    "depress",
-    "solve_quadratic",
-    "solve_cubic_cardano",
-    "roots_of_unity",
-    "residual_tolerance",
-]
+__all__ = list(_EXPORTS["roots"])
 
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # primitive cube root of unity
 _OMEGA2 = complex(-0.5, -math.sqrt(3.0) / 2.0)

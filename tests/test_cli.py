@@ -272,6 +272,156 @@ def test_ngon_17_json_golden():
     )
 
 
+HELP_TEXT = """usage: klasika [--json] [--tol X] <command> ...
+
+commands:
+  disc <coeffs>                      discriminant, both routes (coeffs ascending: a0,a1,...)
+  repeated <coeffs>                  repeated-root test
+  solve <coeffs>                     roots of a degree-2/3 polynomial with residuals
+  depress <coeffs>                   remove the second-highest term
+  classify-conic a,b,c,d,e,lambda    kind of ax^2+bxy+cy^2+dx+ey = lambda
+  classify-quadric a,b,c,d,e,f       kind of ax^2+by^2+cz^2+dxy+exz+fyz = h
+  diagonalize a,b,c,d,e,f            orthogonal substitution and diagonal form
+  ngon <n>                           regular n-gon constructibility
+  trisect <p/q>                      trisectability of an angle with cos(3a) = p/q
+  double-cube                        the classical cube-doubling verdict
+  square-circle                      the classical circle-squaring verdict
+  construct-eval "<expr>"            evaluate a +,-,*,/,sqrt expression with degree bound
+  integrate <p> / <q>                antiderivative of a rational function
+  partfrac <p> / <q>                 partial-fraction decomposition
+  ellipse area|perimeter <a> <b>     ellipse area / perimeter
+  param <kind> <a> <b> <t>           rational parametrization point of a conic
+"""
+
+
+def test_help_text():
+    for argv in (["--help"], ["-h"], ["disc", "--help"]):
+        result = run(argv)
+        assert (result.status, result.exit_code, result.human_text) == ("ok", 0, HELP_TEXT)
+        assert result.payload == {"command": "help", "usage": HELP_TEXT}
+    assert run([]).human_text == "error: no command given\n" + HELP_TEXT
+
+
+# The usage line of each subcommand; trisect, integrate, partfrac and param
+# name their arguments more fully here than in the help text.
+USAGE_ERRORS = {
+    "disc": "disc <coeffs>",
+    "repeated": "repeated <coeffs>",
+    "solve": "solve <coeffs>",
+    "depress": "depress <coeffs>",
+    "classify-conic": "classify-conic a,b,c,d,e,lambda",
+    "classify-quadric": "classify-quadric a,b,c,d,e,f",
+    "diagonalize": "diagonalize a,b,c,d,e,f",
+    "ngon": "ngon <n>",
+    "trisect": "trisect <cos3a as p/q>",
+    "double-cube": "double-cube",
+    "square-circle": "square-circle",
+    "construct-eval": 'construct-eval "<expr>"',
+    "integrate": "integrate <p-coeffs> / <q-coeffs>",
+    "partfrac": "partfrac <p-coeffs> / <q-coeffs>",
+    "ellipse": "ellipse area|perimeter <a> <b>",
+    "param": "param circle|ellipse|hyperbola|parabola <a> <b> <t>",
+}
+
+
+@pytest.mark.parametrize("command", USAGE_ERRORS)
+def test_wrong_argument_count_prints_the_usage_line(command):
+    result = run([command, "1", "1"])  # a wrong count for every subcommand
+    assert (result.status, result.exit_code) == ("error", 2)
+    assert result.human_text == f"error: usage: {USAGE_ERRORS[command]}"
+    assert result.to_json() == json.dumps(
+        {"error": f"usage: {USAGE_ERRORS[command]}", "kind": "usage", "schema": 1, "status": "error"}
+    )
+
+
+GOLDEN_JSON = {
+    # one exact --json object per subcommand, plus a usage and a domain error
+    ("disc", "2,-3,1"): (
+        '{"agree": true, "command": "disc", "discriminant_hankel": "1", "discriminant_resultant": "1", '
+        '"polynomial": "2,-3,1", "schema": 1, "status": "ok", "zero": false}'
+    ),
+    ("repeated", "4,0,-4,0,1"): (
+        '{"command": "repeated", "has_repeated_roots": true, "polynomial": "4,0,-4,0,1", '
+        '"schema": 1, "status": "ok"}'
+    ),
+    ("solve", "2,-3,1"): (
+        '{"command": "solve", "polynomial": "2,-3,1", "residuals": [0.0, 0.0], '
+        '"roots": [[1.0, 0.0], [2.0, 0.0]], "schema": 1, "status": "ok", '
+        '"tolerance": 7.000000000000001e-10, "within_tolerance": true}'
+    ),
+    ("depress", "-6,11,-6,1"): (
+        '{"command": "depress", "depressed": "0,-1,0,1", "polynomial": "-6,11,-6,1", '
+        '"schema": 1, "shift": "-2", "status": "ok"}'
+    ),
+    ("classify-conic", "1/4,0,1/9,0,0,1"): (
+        '{"coefficients": ["1/4", "0", "1/9", "0", "0", "1"], "command": "classify-conic", '
+        '"kind": "Ellipse", "quadratic_inertia": [2, 0, 0], "schema": 1, "status": "ok"}'
+    ),
+    ("classify-quadric", "1,1,0,0,0,0"): (
+        '{"command": "classify-quadric", "inertia": [2, 0, 1], "kind": "EllipticParaboloid", '
+        '"note": "rank 2 < 3: the homogeneous classification is by the inertia table, but level '
+        'sets of a degenerate form may flatten (e.g. into parallel planes)", "schema": 1, "status": "ok"}'
+    ),
+    ("diagonalize", "2,2,0,2,0,0"): (
+        '{"command": "diagonalize", "diagonal_form": [0.0, 1.0, 3.0], "residual": 4.440892098500626e-16, '
+        '"schema": 1, "status": "ok", "substitution": [[0.0, 0.0, 1.0], '
+        '[0.7071067811865476, -0.7071067811865476, 0.0], [0.7071067811865476, 0.7071067811865476, 0.0]], '
+        '"within_tolerance": true}'
+    ),
+    ("ngon", "9"): (
+        '{"command": "ngon", "constructible": false, "constructible_text": "no", '
+        '"factorization": {"3": 2}, "n": 9, "reason": "Fermat prime factor 3 appears 2 times", '
+        '"schema": 1, "status": "ok", "violations": ["Fermat prime factor 3 appears 2 times"]}'
+    ),
+    ("trisect", "1/2"): (
+        '{"command": "trisect", "constructible": false, "constructible_text": "no", "cos_3a": "1/2", '
+        '"reason": "8*x^3 - 6*x - 1 has no rational root, hence is irreducible; degree 3 is not a '
+        'power of 2", "schema": 1, "status": "ok", "witness_cubic": "-1,-6,0,8"}'
+    ),
+    ("double-cube",): (
+        '{"command": "double-cube", "constructible": false, "constructible_text": "no", '
+        '"reason": "x^3 - 2 has no rational root, hence is irreducible; degree 3 is not a power of 2", '
+        '"schema": 1, "status": "ok", "volume_factor": "2", "witness_cubic": "-2,0,0,1"}'
+    ),
+    ("square-circle",): (
+        '{"axiom": "transcendence of pi", "command": "square-circle", "constructible": false, '
+        '"constructible_text": "no", "reason": "pi is transcendental (Lindemann, 1882), so sqrt(pi) '
+        'is not algebraic over Q and lies in no finite tower of quadratic extensions; accepted as a '
+        'documented fact, not computed here", "schema": 1, "status": "ok"}'
+    ),
+    ("construct-eval", "sqrt(2+sqrt(2))"): (
+        '{"command": "construct-eval", "degree_bound": 4, "expression": "sqrt(2+sqrt(2))", '
+        '"schema": 1, "status": "ok", "value": 1.8477590650225735}'
+    ),
+    ("integrate", "4,-1,2", "/", "0,4,0,1"): (
+        '{"antiderivative": "ln|x| + 1/2*ln(x^2+4) - 1/2*arctan(x/2) + K", "command": "integrate", '
+        '"denominator": "0,4,0,1", "numerator": "4,-1,2", "schema": 1, "status": "ok"}'
+    ),
+    ("partfrac", "4,-1,2", "/", "0,4,0,1"): (
+        '{"command": "partfrac", "denominator": "0,4,0,1", "linear_terms": [["1", "0", 1]], '
+        '"numerator": "4,-1,2", "polynomial_part": "0", "quadratic_terms": [["1", "-1", "0", "4"]], '
+        '"schema": 1, "status": "ok"}'
+    ),
+    ("ellipse", "area", "2", "1"): (
+        '{"a": 2.0, "b": 1.0, "command": "ellipse", "mode": "area", "schema": 1, "status": "ok", '
+        '"value": 6.283185307179586}'
+    ),
+    ("param", "parabola", "1", "1", "2"): (
+        '{"a": 1.0, "b": 1.0, "command": "param", "kind": "parabola", "residual": 0.0, "schema": 1, '
+        '"status": "ok", "t": 2.0, "within_tolerance": true, "x": 4.0, "y": 4.0}'
+    ),
+    ("disc",): '{"error": "usage: disc <coeffs>", "kind": "usage", "schema": 1, "status": "error"}',
+    ("trisect", "3/2"): (
+        '{"error": "|cos 3a| must be <= 1, got 3/2", "kind": "domain", "schema": 1, "status": "error"}'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_JSON), ids=lambda a: " ".join(a))
+def test_golden_json_output(argv):
+    assert run(["--json", *argv]).to_json() == GOLDEN_JSON[argv]
+
+
 def test_json_is_wellformed_and_versioned():
     for argv in sorted(GOLDEN_HUMAN):
         result = out(list(argv) + ["--json"])
@@ -363,6 +513,18 @@ def test_huge_decimal_exponent_is_refused_fast(argv):
     assert time.perf_counter() - t0 < 0.25
     assert result.exit_code == 1
     assert "1e" in result.payload["error"]
+
+
+def test_diagonalize_out_of_range_entries_are_refused_fast():
+    # six 4000-digit entries: some eigenvalue is at least as large, so no float
+    # answer exists, and the refusal comes before the exact eigenvalue isolation
+    rng = random.Random(4000)
+    entries = ",".join(str(rng.randrange(10**3999, 10**4000)) for _ in range(6))
+    t0 = time.perf_counter()
+    result = run(["diagonalize", entries])
+    assert time.perf_counter() - t0 < 0.5
+    assert result.exit_code == 1
+    assert result.payload["error"] == "coefficient magnitude exceeds the double-precision range"
 
 
 def test_decimal_exponent_within_the_limit_is_answered():

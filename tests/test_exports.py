@@ -17,31 +17,42 @@ PUBLIC_NAMES = [
     "SquareMatrix", "determinant", "sylvester_matrix", "resultant", "power_sums",
     "discriminant_resultant", "discriminant_hankel", "has_repeated_roots",
     "DepressedPolynomial", "CubicRoots", "depress", "solve_quadratic", "solve_cubic_cardano",
-    "roots_of_unity",
+    "roots_of_unity", "residual_tolerance",
     "BinaryForm", "TernaryForm", "SymMatrix", "Inertia", "ConicKind", "QuadricKind",
     "Diagonalization", "form_to_matrix", "matrix_to_form", "form_discriminant",
     "is_positive_definite", "transform_form", "char_poly", "inertia", "classify_conic",
-    "classify_quadric", "orthogonal_diagonalize", "diagonal_substitution",
-    "solve_linear_system", "rational_nullspace",
-    "Num", "Add", "Sub", "Mul", "Div", "Sqrt", "ConstructibilityVerdict",
+    "classify_quadric", "quadric_degeneracy_note", "orthogonal_diagonalize",
+    "diagonal_substitution", "solve_linear_system", "rational_nullspace",
+    "Num", "Add", "Sub", "Mul", "Div", "Sqrt", "ConstructibleExpr", "ConstructibilityVerdict",
     "parse_constructible", "eval_constructible", "is_fermat_prime", "ngon_constructible",
     "trisectable", "cube_scaling", "cube_doubling", "circle_squaring",
     "degree_power_of_two_check",
-    "UnsupportedFactorizationError", "RealFactorization", "PartialFractions",
-    "SymbolicAntiderivative", "ConicParam", "factor_real", "partial_fractions",
-    "integrate_rational", "ellipse_area", "ellipse_perimeter",
+    "UnsupportedFactorizationError", "RealFactorization", "PartialFractions", "PolyTerm",
+    "LogAbs", "PowerTerm", "LogQuadratic", "ArctanTerm", "SymbolicAntiderivative",
+    "ConicParam", "factor_real", "partial_fractions", "integrate_rational", "ellipse_area",
+    "ellipse_perimeter", "adaptive_simpson",
 ]
+
+# Names whose objects report another module: Rational is Fraction, and
+# ConstructibleExpr is a typing.Union alias.
+_HOMES = {"Rational": "klasika.exact", "ConstructibleExpr": "klasika.construct"}
 
 
 def test_all_is_the_public_name_list_in_order():
     assert klasika.__all__ == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 73
 
 
 @pytest.mark.parametrize("name", PUBLIC_NAMES)
 def test_each_name_is_its_defining_module_attribute(name):
     obj = getattr(klasika, name)
-    home = "klasika.exact" if name == "Rational" else obj.__module__  # Rational is Fraction
+    home = _HOMES.get(name, obj.__module__)
     assert getattr(sys.modules[home], name) is obj
+
+
+@pytest.mark.parametrize("layer", klasika._EXPORTS)
+def test_each_layer_all_is_its_export_row(layer):
+    assert getattr(klasika, layer).__all__ == list(klasika._EXPORTS[layer])
 
 
 def test_star_import_binds_every_name():
