@@ -4,7 +4,7 @@ Every real polynomial factors into linear and quadratic pieces, so every
 rational function splits into partial fractions whose antiderivatives are
 logarithms, arctangents, and negative powers.  The ellipse supplies the
 contrast: its area is elementary (pi*a*b), but its perimeter is a complete
-elliptic integral, evaluated here numerically.
+elliptic integral, evaluated here by Gauss's arithmetic-geometric mean.
 """
 
 import math

@@ -15,15 +15,13 @@ imports.
 Coefficient lists are ASCENDING (constant term first): ``disc 2,-3,1`` is
 the polynomial x^2 - 3x + 2.  Quadric cross coefficients are passed as
 written in the equation (the full xy/xz/yz coefficients) and halved
-internally.  ``KLASIKA_PRECISION`` optionally overrides the quadrature
-tolerance used by ``ellipse perimeter``.
+internally.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -346,16 +344,7 @@ def _cmd_ellipse(args, opts):
     mode = args[0]
     a = _parse_float(args[1], "a")
     b = _parse_float(args[2], "b")
-    if mode == "area":
-        value = ratfun.ellipse_area(a, b)
-    else:
-        tol = 1e-12
-        env = os.environ.get("KLASIKA_PRECISION")
-        if env is not None:
-            tol = float(_fraction_from_text(env))  # malformed value -> domain error
-            if not (0 < tol < 1):
-                raise ValueError(f"KLASIKA_PRECISION must be in (0, 1), got {env!r}")
-        value = ratfun.ellipse_perimeter(a, b, tol=tol)
+    value = (ratfun.ellipse_area if mode == "area" else ratfun.ellipse_perimeter)(a, b)
     payload = {"mode": mode, "a": a, "b": b, "value": _fnum(value)}
     return payload, f"ellipse {mode} (a={_fmt(a)}, b={_fmt(b)}): {_fmt(value)}"
 

@@ -464,9 +464,9 @@ def orthogonal_diagonalize(m: SymMatrix) -> Diagonalization:
         ]
         basis = rational_nullspace(shifted)
         assert len(basis) == mult
-        floats = _orthonormalize([[float(x) for x in vec] for vec in basis])
+        floats = _orthonormalize([[_coeff_float(x) for x in vec] for vec in basis])
         for vec in floats:
-            pairs.append((float(lam), [vec]))
+            pairs.append((_coeff_float(lam), [vec]))
 
     remaining = Polynomial(split[0][1]).monic()  # the irrational eigenvalues are simple
     if remaining.degree >= 1:
@@ -476,7 +476,7 @@ def orthogonal_diagonalize(m: SymMatrix) -> Diagonalization:
             irr = [z.real for z in solve_quadratic(remaining)]
         else:
             irr = [z.real for z in solve_cubic_cardano(remaining).roots]
-        for lam_f in _newton(remaining, irr, 3):
+        for lam_f in _newton(remaining, irr, 3)[0]:
             shifted = [
                 [mf[i][j] - (lam_f if i == j else 0.0) for j in range(n)]
                 for i in range(n)

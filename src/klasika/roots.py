@@ -96,6 +96,8 @@ def solve_quadratic(f: Polynomial) -> tuple[complex, complex]:
     a2, a1, a0 = f[2], f[1], f[0]
     delta = a1 * a1 - 4 * a2 * a0  # exact
     af, bf, cf = _coeff_float(a2), _coeff_float(a1), _coeff_float(a0)
+    if af == 0.0:  # a2 != 0 underflows, and both root formulas divide by it
+        raise ValueError("coefficient magnitude exceeds the double-precision range")
     if delta >= 0:
         sq = math.sqrt(_coeff_float(delta))
         if bf >= 0:
@@ -148,19 +150,19 @@ def solve_cubic_cardano(f: Polynomial) -> CubicRoots:
         # all roots real: each with imaginary noise below 1e-9 drops it and
         # takes one Newton step on the real axis
         real = [i for i, y in enumerate(ys) if abs(y.imag) < 1e-9]
-        for i, x in zip(real, _newton(dep.poly, [ys[i].real for i in real], 1)):
+        for i, x in zip(real, _newton(dep.poly, [ys[i].real for i in real], 1)[0]):
             ys[i] = complex(x, 0.0)
 
     shift = _coeff_float(dep.shift)
     tol = residual_tolerance(f)
-    roots = _newton(f, [y - shift for y in ys], 3, tol)
-    fs = [_coeff_float(c) for c in f.coeffs]  # abs(f(r)) bit for bit, converting f once
+    roots, fs = _newton(f, [y - shift for y in ys], 3, tol)  # fs gives abs(f(r)) bit for bit
     residuals = tuple(abs(_horner_float(fs, r)) for r in roots)
     return CubicRoots(tuple(roots), residuals, tol)
 
 
-def _newton(f: Polynomial, xs: list, steps: int, tol: float | None = None) -> list:
-    """Each x of xs after up to `steps` Newton steps on f, real or complex as x is.
+def _newton(f: Polynomial, xs: list, steps: int, tol: float | None = None) -> tuple[list, list]:
+    """Each x of xs after up to `steps` Newton steps on f, real or complex as x is,
+    and the float coefficients of f, so a caller evaluates f without converting it again.
 
     A point stops early at a zero slope and, given `tol`, once |f(x)| <= tol;
     that test comes before each step, so a point that already meets `tol`
@@ -183,7 +185,7 @@ def _newton(f: Polynomial, xs: list, steps: int, tol: float | None = None) -> li
                 break
             x = x - fx / slope
         out.append(x)
-    return out
+    return out, fs
 
 
 def roots_of_unity(n: int) -> list[complex]:

@@ -466,15 +466,13 @@ def test_degree_cap_is_a_usage_error():
     assert out(["disc", huge]).exit_code == 2
 
 
-def test_env_precision_override(monkeypatch):
-    monkeypatch.setenv("KLASIKA_PRECISION", "1e-14")
-    assert out(["ellipse", "perimeter", "2", "1"]).payload["value"] == pytest.approx(
-        9.688448220547675, abs=1e-9
-    )
-    monkeypatch.setenv("KLASIKA_PRECISION", "banana")
-    assert out(["ellipse", "perimeter", "2", "1"]).exit_code == 1
-    monkeypatch.setenv("KLASIKA_PRECISION", "1e-10000000")
-    assert out(["ellipse", "perimeter", "2", "1"]).exit_code == 1
+def test_perimeter_ignores_the_environment(monkeypatch):
+    # the AGM reaches double precision for every input, so no tolerance is read
+    monkeypatch.delenv("KLASIKA_PRECISION", raising=False)
+    want = out(["ellipse", "perimeter", "2", "1"]).to_json()
+    for value in ("1e-14", "banana"):
+        monkeypatch.setenv("KLASIKA_PRECISION", value)
+        assert out(["ellipse", "perimeter", "2", "1"]).to_json() == want
 
 
 @pytest.mark.parametrize("argv", [
@@ -525,6 +523,20 @@ def test_diagonalize_out_of_range_entries_are_refused_fast():
     assert time.perf_counter() - t0 < 0.5
     assert result.exit_code == 1
     assert result.payload["error"] == "coefficient magnitude exceeds the double-precision range"
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagonalize", "1e308,1e308,0,2e308,0,0"],  # in-range entries, the eigenvalue 2e308
+    ["solve", "1,0,1e-400"],  # the leading coefficient underflows to 0.0
+    ["solve", "1,0,0,1e-400"],
+])
+def test_float_range_is_named(argv):
+    for mode in ([], ["--json"]):
+        result = run(mode + argv)
+        assert result.exit_code == 1
+        assert result.payload == {
+            "error": "coefficient magnitude exceeds the double-precision range", "kind": "domain",
+        }
 
 
 def test_decimal_exponent_within_the_limit_is_answered():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -534,6 +535,34 @@ def test_perimeter_brackets_and_monotonicity(rng):
         a = b + rng.uniform(0.0, 3.0)
         p = ellipse_perimeter(a, b)
         assert math.pi * (a + b) - 1e-9 <= p <= math.pi * math.sqrt(2 * (a * a + b * b)) + 1e-9
+
+
+def carlson_perimeter(a, b):
+    """8*R_G(0, a^2, b^2) at 30 digits: Carlson's symmetric form, independent of the AGM."""
+    with mpmath.workdps(30):
+        return 8 * mpmath.elliprg(0, mpmath.mpf(a) ** 2, mpmath.mpf(b) ** 2)
+
+
+def relative_error(a, b):
+    want = carlson_perimeter(a, b)
+    return float(abs((mpmath.mpf(ellipse_perimeter(a, b)) - want) / want))
+
+
+@pytest.mark.parametrize("decades, bound", [(3, 1e-14), (300, 1e-12)])
+def test_perimeter_against_carlson(rng, decades, bound):
+    # a spans 1e-300..1e300, and b/a spans 10^-decades..1
+    for _ in range(200):
+        a = 10.0 ** rng.uniform(-300, 300)
+        b = a * 10.0 ** rng.uniform(-decades, 0)
+        if 0 < b <= a:
+            assert relative_error(a, b) <= bound, (a, b)
+    for a, b in ((1.0, 1e-300), (1e300, 1.0), (1e-8, 1e-308), (1e300, 1e297), (1e-300, 1e-303)):
+        assert relative_error(a, b) <= (1e-12 if b < 1e-3 * a else 1e-14), (a, b)
+
+
+def test_perimeter_circle_is_two_pi_r():
+    for r in (1e-300, 1e-5, 0.5, 1.0, 3.25, 7e12, 1e300):
+        assert abs(ellipse_perimeter(r, r) - 2 * math.pi * r) <= 1e-15 * 2 * math.pi * r
 
 
 def test_adaptive_simpson_on_known_integral():

@@ -183,16 +183,16 @@ def test_newton_steps_stops_and_derivative_count():
     for _ in range(3):
         x = x - (x * x - 2) / (2 * x)
         iterates.append(x)
-    assert _newton(f, [1.0], 3) == [iterates[2]]
-    assert _newton(f, [1.0], 1) == [iterates[0]]
+    assert _newton(f, [1.0], 3) == ([iterates[2]], [-2.0, 0.0, 1.0])
+    assert _newton(f, [1.0], 1)[0] == [iterates[0]]
     # the residual test comes before each step: |f| at the second iterate is 1/144
-    assert _newton(f, [1.0], 3, tol=0.01) == [iterates[1]]
-    assert _newton(f, [0.0, 0.0j], 3) == [0.0, 0.0j]  # zero slope: no step
-    z = _newton(Polynomial([1, 0, 1]), [complex(0.1, 1.1)], 3)[0]
+    assert _newton(f, [1.0], 3, tol=0.01)[0] == [iterates[1]]
+    assert _newton(f, [0.0, 0.0j], 3)[0] == [0.0, 0.0j]  # zero slope: no step
+    z = _newton(Polynomial([1, 0, 1]), [complex(0.1, 1.1)], 3)[0][0]
     assert abs(z - 1j) < 1e-6
 
     g = CountingDerivative(f)
-    assert _newton(g, [math.sqrt(2), -math.sqrt(2)], 3, tol=1e-12) == [math.sqrt(2), -math.sqrt(2)]
+    assert _newton(g, [math.sqrt(2), -math.sqrt(2)], 3, tol=1e-12)[0] == [math.sqrt(2), -math.sqrt(2)]
     assert g.derivatives == 0  # points that meet tol need no derivative
     _newton(g, [1.0, -1.0, 3.0], 3)
     assert g.derivatives == 1  # once per call, shared by the points
@@ -227,7 +227,8 @@ def test_newton_is_bit_identical_to_per_call_conversion(rng):
         f = Polynomial(rand_coeffs(rng, rng.randint(1, 6), -99, 99, 7))
         xs = [rng.uniform(-3, 3), complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), 0.0, complex(0.0)]
         tol = None if k % 2 else 1e-9 * (1 + f.norm_1())
-        got = _newton(f, xs, 3, tol)
+        got, fs = _newton(f, xs, 3, tol)
+        assert [x.hex() for x in fs] == [float(c).hex() for c in f.coeffs]
         want = newton_per_call(f, xs, 3, tol)
         assert [repr(z) for z in got] == [repr(z) for z in want]
         assert [repr(f(x)) for x in xs] == [repr(horner_per_call(f, x)) for x in xs]
