@@ -13,18 +13,22 @@ the n x n Hankel matrix whose (i, j) entry is S_(i+j), where the power sums
 S_k of the roots are produced by Newton's identities from the coefficients
 alone.  The identities run over Z on a^k * S_k, for a the leading coefficient
 of f with its denominators cleared, and the Hankel matrix of those integers
-goes straight to the Bareiss elimination.  Its k x k minors carry the factor
-a^((k-1)(k-2)), so every elimination step after the first divides by a^2 as
-well as by the previous pivot, and the last pivot is the discriminant
-itself, times the denominators.  The sign factor (-1)^(n(n-1)/2) relating
-the product over ordered pairs of root differences to the squared product
-over unordered pairs appears twice between the two derivations and therefore
-cancels, so the two routes agree exactly.
+goes straight to a symmetric Bareiss elimination that keeps only its upper
+triangle.  Its k x k minors carry the factor a^((k-1)(k-2)), so every
+elimination step after the first divides by a^2 as well as by the previous
+pivot, and the last pivot is the discriminant itself, times the
+denominators.  The sign factor (-1)^(n(n-1)/2) relating the product over
+ordered pairs of root differences to the squared product over unordered pairs
+appears twice between the two derivations and therefore cancels, so the two
+routes agree exactly.
 
-Everything is exact over the rationals.  Determinants, and the linear
-solves and null spaces of `forms`, share one elimination: each row is
-cleared of denominators and the matrix is eliminated over the integers by
-fraction-free (Bareiss) steps, whose divisions are all exact.
+Everything is exact over the rationals, and every elimination is by
+fraction-free (Bareiss) steps over the integers, whose divisions are all
+exact.  There are two kernels.  The general one serves `determinant` and the
+linear solves and null spaces of `forms`: each row is cleared of denominators
+and rows are swapped to find pivots.  The symmetric one serves the Hankel
+route alone: it updates only the upper triangle, and it finds pivots by
+congruences, which keep the matrix symmetric and the determinant unchanged.
 """
 
 from __future__ import annotations
@@ -88,22 +92,19 @@ class SquareMatrix:
 
 
 def _eliminate(
-    rows: Sequence[Sequence[Fraction | int]], jordan: bool, extra: int = 1
+    rows: Sequence[Sequence[Fraction | int]], jordan: bool
 ) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free (Bareiss) elimination of rational rows over Z.
 
-    Each row is first scaled to integers by its least common denominator.
-    Every entry produced afterwards is a minor of that integer matrix, so
-    each division by the previous pivot is exact.  With ``jordan`` the
-    entries above each pivot are cleared too (fraction-free Gauss-Jordan),
-    so every pivot row is zero in every other pivot column, and columns
-    without a pivot are skipped.  Without it the elimination stops at the
-    first column without a pivot, where the determinant is 0.
-
-    Every step after the first also divides by ``extra``, which the caller
-    must know to be exact: after k pivots the entries are the (k+1)-rowed
-    minors divided by extra**(k(k-1)/2), and the last pivot of a nonsingular
-    n x n matrix is its determinant divided by extra**((n-1)(n-2)/2).
+    This is the general kernel; the Hankel route's symmetric matrices go to
+    `_symmetric_determinant` instead.  Each row is first scaled to integers
+    by its least common denominator.  Every entry produced afterwards is a
+    minor of that integer matrix, so each division by the previous pivot is
+    exact.  With ``jordan`` the entries above each pivot are cleared too
+    (fraction-free Gauss-Jordan), so every pivot row is zero in every other
+    pivot column, and columns without a pivot are skipped.  Without it the
+    elimination stops at the first column without a pivot, where the
+    determinant is 0.
 
     Returns the eliminated rows, the pivot column of each leading row, and
     the factor by which the row scalings and swaps multiplied the
@@ -139,7 +140,7 @@ def _eliminate(
             lo = col if i > r else 0  # rows below are already zero left of col
             a[i] = row[:lo] + [(p * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
         pivots.append(col)
-        prev = p * extra
+        prev = p
     return a, pivots, scale
 
 
@@ -151,6 +152,64 @@ def determinant(m: SquareMatrix | Sequence[Sequence[RationalLike]]) -> Fraction:
     if len(pivots) < m.n:
         return Fraction(0)
     return Fraction(a[-1][-1], scale)
+
+
+def _symmetric_determinant(rows: Sequence[Sequence[int]], extra: int) -> int:
+    """Fraction-free (Bareiss) elimination of a symmetric integer matrix.
+
+    Every matrix the steps produce is symmetric too, since its (i, j) entry
+    is a bordered minor symmetric in i and j, so only the upper triangle is
+    kept: row i holds columns i..n-1.  With pivot p = a[r][r] a step sets
+    a[i][j] = (p * a[i][j] - a[r][i] * a[r][j]) // prev for r < i <= j.
+    A zero pivot is replaced by a congruence (`_repivot`), which changes
+    neither the symmetry nor the determinant.
+
+    Every step after the first also divides by ``extra``, which the caller
+    must know to be exact for the minors on any k distinct rows and columns:
+    the last pivot of an n x n matrix is its determinant divided by
+    extra**((n-1)(n-2)/2).  Returns that last pivot, 0 for a singular matrix.
+    """
+    n = len(rows)
+    u = [list(row[i:]) for i, row in enumerate(rows)]
+    prev = 1
+    for r in range(n - 1):
+        if not u[r][0] and not _repivot(u, r):
+            return 0
+        top = u[r]
+        p = top[0]
+        for i in range(r + 1, n):
+            f = top[i - r]
+            u[i] = [(p * x - f * y) // prev for x, y in zip(u[i], top[i - r :])]
+        prev = p * extra
+    return u[-1][0]
+
+
+def _repivot(u: list[list[int]], r: int) -> bool:
+    """Give the upper-triangle matrix ``u`` a nonzero pivot at (r, r) by a
+    congruence on indices r..n-1, or return False if row r is zero.
+
+    If a later diagonal entry a[s][s] is nonzero, indices r and s are swapped
+    in both rows and columns.  Otherwise every diagonal entry from r on is 0,
+    and row and column s, for the first s with a[r][s] != 0, are added to row
+    and column r, which makes the pivot 2 * a[r][s].
+    """
+    n = len(u)
+
+    def at(i: int, j: int) -> int:
+        return u[i][j - i] if i <= j else u[j][i - j]
+
+    s = next((s for s in range(r + 1, n) if u[s][0]), None)
+    if s is not None:
+        order = list(range(r, n))
+        order[0], order[s - r] = s, r
+        u[r:] = [[at(order[i], order[j]) for j in range(i, n - r)] for i in range(n - r)]
+        return True
+    top = u[r]
+    s = next((s for s in range(r + 1, n) if top[s - r]), None)
+    if s is None:
+        return False
+    u[r] = [2 * top[s - r]] + [x + at(s, j) for j, x in enumerate(top[1:], r + 1)]
+    return True
 
 
 def _sylvester_degrees(f: Polynomial, g: Polynomial) -> tuple[int, int]:
@@ -246,17 +305,20 @@ def discriminant_hankel(f: Polynomial) -> Fraction:
     Cauchy-Binet a symmetric integer polynomial in the roots of degree at most
     max R + max C in each, which a**(max R + max C) makes integral.  So a
     k-rowed minor of [T] is divisible by a**((k-1)(k-2)) whatever the rows,
-    and every Bareiss step after the first may divide by a**2 as well.
+    and every Bareiss step after the first may divide by a**2 as well.  The
+    congruences that replace a zero pivot turn each minor into a sum of minors
+    on distinct rows and columns, so the division stays exact after them.
+
+    [T] is symmetric, and so is every matrix its Bareiss steps produce, so the
+    elimination (`_symmetric_determinant`) computes only the upper triangle.
     """
     n = f.degree
     if f.is_zero or n < 2:
         raise ValueError("discriminant requires degree >= 2")
     d, ints = _clear_denominators(f.coeffs)
     t = _power_sums_z(ints, 2 * n - 2)
-    rows, pivots, sign = _eliminate([t[i : i + n] for i in range(n)], jordan=False, extra=ints[-1] ** 2)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(rows[-1][-1], sign * d ** (2 * n - 2))
+    last = _symmetric_determinant([t[i : i + n] for i in range(n)], ints[-1] ** 2)
+    return Fraction(last, d ** (2 * n - 2))
 
 
 def has_repeated_roots(f: Polynomial) -> bool:

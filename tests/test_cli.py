@@ -256,7 +256,7 @@ def test_degree_64_non_monic_disc_is_fast():
     f = _cap_polynomial()  # a 20-bit leading coefficient
     t0 = time.perf_counter()
     result = run(["disc", f.to_text()])
-    assert time.perf_counter() - t0 < 3.0
+    assert time.perf_counter() - t0 < 1.5
     assert result.status == "ok"
     assert result.payload["agree"] is True
 

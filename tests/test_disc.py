@@ -1,10 +1,14 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from klasika import disc
 from klasika.disc import (
     SquareMatrix,
     determinant,
@@ -17,7 +21,7 @@ from klasika.disc import (
 )
 from klasika.exact import Polynomial, poly_gcd
 
-from conftest import expand_roots, rand_coeffs, rand_fraction
+from conftest import convolve, expand_roots, rand_coeffs, rand_fraction
 
 
 def brute_force_pair_product(roots):
@@ -65,6 +69,72 @@ def test_determinant_singular_and_pivoting():
     assert determinant([[0, 1], [0, 2]]) == 0
     assert determinant([[0, 1], [1, 0]]) == -1
     assert determinant([[0, 2, 1], [3, 0, 0], [0, 4, 2]]) == 0
+
+
+@pytest.fixture
+def repivots(monkeypatch):
+    """Counts of the symmetric swaps and congruence steps `disc._repivot` takes."""
+    counts = Counter()
+    repivot = disc._repivot
+
+    def counted(u, r):
+        if any(u[s][0] for s in range(r + 1, len(u))):
+            counts["swap"] += 1
+        elif any(u[r]):
+            counts["congruence"] += 1
+        done = repivot(u, r)
+        assert u[r][0] if done else not any(u[r])
+        return done
+
+    monkeypatch.setattr(disc, "_repivot", counted)
+    return counts
+
+
+def block_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(b)] = row
+        at += len(b)
+    return out
+
+
+def symmetric_matrices():
+    """(rank, matrix): symmetric integer matrices of order 1-10 and every rank,
+    each also with a zeroed diagonal and with a zeroed leading entry."""
+    hyperbolic = [[0, 1], [1, 0]]
+    for k in range(1, 6):
+        yield 2 * k, block_sum(*[hyperbolic] * k)
+    yield 3, block_sum(hyperbolic, [[0]], [[2]])
+    yield 3, block_sum([[0]], hyperbolic, [[5]])
+    for v in (0, 1, -7):
+        yield int(v != 0), [[v]]
+    rng = random.Random(1414)
+    for n in range(1, 11):
+        for rank in range(n + 1):
+            for variant in ("plain", "zero diagonal", "zero leading entry"):
+                b = [[rng.choice([0, 0, 1, -1, 2, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(rank)]
+                signs = [rng.choice([-1, 1]) for _ in range(rank)]
+                a = [[sum(b[t][i] * signs[t] * b[t][j] for t in range(rank)) for j in range(n)] for i in range(n)]
+                if variant == "zero diagonal":
+                    for i in range(n):
+                        a[i][i] = 0
+                elif variant == "zero leading entry":
+                    a[0][0] = 0
+                yield sympy.Matrix(a).rank(), a
+
+
+def test_symmetric_determinant_matches_determinant(repivots):
+    singular_ranks = {n: set() for n in range(1, 11)}
+    for rank, a in symmetric_matrices():
+        assert disc._symmetric_determinant(a, 1) == determinant(a)
+        if rank < len(a):
+            singular_ranks[len(a)].add(rank)
+    assert all(ranks == set(range(n)) for n, ranks in singular_ranks.items())
+    assert repivots["swap"] >= 10
+    assert repivots["congruence"] >= 10
 
 
 def newton_power_sums_over_q(f: Polynomial, m: int) -> list[Fraction]:
@@ -222,9 +292,17 @@ def hankel_inputs():
             f = square * rest
         assert f.degree == n
         yield kind, f
+    # a * (x^m - c) * (x^k + e): roots on two circles about 0, in complex-conjugate
+    # pairs, and in sign-alternating pairs +-r where m or k is even
+    for seed in range(40):
+        rng = random.Random(6000 + seed)
+        m, k = rng.randint(2, 10), rng.randint(1, 6)
+        lead = Fraction(rng.choice([-1, 1]) * rng.randint(2, 1 << rng.choice([8, 20, 40])), rng.choice([1, 3, 999]))
+        c, e = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), rng.randint(1, 9)) for _ in range(2))
+        yield "circle", Polynomial([-c] + [0] * (m - 1) + [lead]) * Polynomial([e] + [0] * (k - 1) + [1])
 
 
-def test_hankel_matches_sympy_and_the_determinant_formula():
+def test_hankel_matches_sympy_and_the_determinant_formula(repivots):
     swapped = 0
     for kind, f in hankel_inputs():
         expected = as_fraction(sympy.discriminant(sympy_poly(f)))
@@ -233,11 +311,40 @@ def test_hankel_matches_sympy_and_the_determinant_formula():
         assert discriminant_resultant(f) == expected
         if kind == "repeated":
             assert expected == 0
-        # a zero leading principal minor of the Hankel matrix forces a row swap
+        # a zero leading principal minor of the Hankel matrix forces a repivot
         s = newton_power_sums_over_q(f, 2 * f.degree - 2)
         minors = [determinant([s[i : i + k] for i in range(k)]) for k in range(1, f.degree)]
         swapped += expected != 0 and 0 in minors
     assert swapped >= 10
+    assert repivots["swap"] >= 10
+    assert repivots["congruence"] >= 10
+
+
+repeated_roots = st.lists(
+    st.tuples(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)), st.integers(1, 3)),
+    max_size=7,
+    unique_by=lambda t: t[0],
+)
+# x^2 + p*x + q with p^2 - 4q not a square: complex or irrational real roots
+irreducible_quadratics = st.tuples(st.integers(-9, 9), st.integers(-40, 40)).filter(
+    lambda t: t[0] ** 2 - 4 * t[1] < 0 or math.isqrt(t[0] ** 2 - 4 * t[1]) ** 2 != t[0] ** 2 - 4 * t[1]
+)
+
+
+@settings(deadline=None)
+@given(
+    roots=repeated_roots,
+    quadratic=irreducible_quadratics,
+    lead=st.builds(Fraction, st.integers(-(1 << 40), 1 << 40).filter(bool), st.integers(1, 999)),
+)
+def test_both_routes_match_sympy_on_planted_roots(roots, quadratic, lead):
+    planted = expand_roots([r for r, m in roots for _ in range(m)], lead)
+    f = Polynomial(convolve(planted, [Fraction(quadratic[1]), Fraction(quadratic[0]), Fraction(1)]))
+    assert 2 <= f.degree <= 24
+    expected = as_fraction(sympy.discriminant(sympy_poly(f)))
+    assert discriminant_hankel(f) == expected
+    assert discriminant_resultant(f) == expected
+    assert (expected == 0) == any(m > 1 for _, m in roots)
 
 
 def test_root_product_oracle(rng):
