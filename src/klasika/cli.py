@@ -23,9 +23,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import _Record
 from .exact import Polynomial, _fraction_from_text, _join_terms, _terms
 
 __all__ = ["CommandResult", "run", "main"]
@@ -39,12 +39,11 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class CommandResult:
+class CommandResult(_Record):
     status: str  # "ok" | "error"
-    payload: dict = field(default_factory=dict)
-    human_text: str = ""
-    exit_code: int = 0
+    payload: dict
+    human_text: str
+    exit_code: int
 
     def to_json(self) -> str:
         obj = {"schema": SCHEMA_VERSION, "status": self.status}

@@ -22,11 +22,10 @@ upper bound 2^(number of sqrt nodes) for the degree of their value over Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from . import _EXPORTS
+from . import _EXPORTS, _Record
 from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, rational_roots
 
 __all__ = list(_EXPORTS["construct"])
@@ -35,40 +34,34 @@ __all__ = list(_EXPORTS["construct"])
 # -- expression trees ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(_Record):
     value: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "value", _as_fraction(self.value))
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(_Record):
     left: "ConstructibleExpr"
     right: "ConstructibleExpr"
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(_Record):
     left: "ConstructibleExpr"
     right: "ConstructibleExpr"
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(_Record):
     left: "ConstructibleExpr"
     right: "ConstructibleExpr"
 
 
-@dataclass(frozen=True)
-class Div:
+class Div(_Record):
     left: "ConstructibleExpr"
     right: "ConstructibleExpr"
 
 
-@dataclass(frozen=True)
-class Sqrt:
+class Sqrt(_Record):
     operand: "ConstructibleExpr"
 
 
@@ -210,14 +203,16 @@ def _tokenize(text: str) -> list[str]:
 # -- verdicts ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstructibilityVerdict:
+class ConstructibilityVerdict(_Record):
     """constructible is True, False, or None for `unknown`; the reason always
     carries the degree/factorization evidence behind the call."""
 
     constructible: bool | None
     reason: str
-    details: dict = field(default_factory=dict)
+    details: dict
+
+    def __init__(self, constructible: bool | None, reason: str, details: dict | None = None):
+        super().__init__(constructible, reason, {} if details is None else details)
 
     def __bool__(self):
         raise TypeError("verdict truthiness is ambiguous; use .constructible")

@@ -281,13 +281,20 @@ def power_sums(f: Polynomial, m: int) -> tuple[Fraction, ...]:
 
 
 def discriminant_resultant(f: Polynomial) -> Fraction:
-    """Discriminant via the Sylvester resultant of f and f'."""
+    """Discriminant via the Sylvester resultant of f and f'.
+
+    It runs over Z on F = d * f, whose derivative d * f' is [k * F_k].
+    Res(f, f') = Res(F, F') / d**(2n - 1) and a_n = F_n / d, so
+    (-1)**(n(n-1)/2) * Res(f, f') / a_n is that sign times
+    Res(F, F') / (d**(2n - 2) * F_n).
+    """
     n = f.degree
     if f.is_zero or n < 2:
         raise ValueError("discriminant requires degree >= 2")
-    res = resultant(f, f.derivative())
+    d, ints = _clear_denominators(f.coeffs)
+    res = _resultant_z(ints, [k * c for k, c in enumerate(ints)][1:])
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res / f.leading_coefficient
+    return Fraction(sign * res, d ** (2 * n - 2) * ints[-1])
 
 
 def discriminant_hankel(f: Polynomial) -> Fraction:

@@ -27,12 +27,11 @@ Conventions worth pinning down once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from . import _EXPORTS
+from . import _EXPORTS, _Record
 from .disc import SquareMatrix, _eliminate
 from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, _coeff_float
 from .exact import _rational_split, _sign_variations
@@ -43,8 +42,7 @@ from .disc import determinant  # noqa: F401
 __all__ = list(_EXPORTS["forms"])
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(_Record):
     """a*x^2 + b*x*y + c*y^2 over Q."""
 
     a: Fraction
@@ -66,8 +64,7 @@ class BinaryForm:
         return BinaryForm(k * self.a, k * self.b, k * self.c)
 
 
-@dataclass(frozen=True)
-class TernaryForm:
+class TernaryForm(_Record):
     """a*x^2 + b*y^2 + c*z^2 + 2d*xy + 2e*xz + 2f*yz over Q.
 
     Note the stored cross coefficients are the halved ones (the matrix
@@ -128,8 +125,7 @@ class SymMatrix(SquareMatrix):
             raise ValueError("matrix is not symmetric")
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(_Record):
     n_plus: int
     n_minus: int
     n_zero: int
@@ -157,8 +153,7 @@ class QuadricKind(str, Enum):
     OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class Diagonalization:
+class Diagonalization(_Record):
     """S has orthonormal eigenvector columns, D the matching eigenvalues.
 
     residual is the max-norm of S diag(D) S^t minus the input.

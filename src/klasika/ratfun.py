@@ -30,11 +30,10 @@ of quadratics, then arctangents, with a trailing "+ K".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from . import _EXPORTS
+from . import _EXPORTS, _Record
 from .exact import Polynomial, _clear_denominators, _join_terms, _poly_terms, _rational_split
 from .exact import _taylor_coeffs, _terms
 # Not called here; perfbench's layer tracer wraps these bindings by name.
@@ -56,8 +55,7 @@ class UnsupportedFactorizationError(ValueError):
 # -- real factorization ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RealFactorization:
+class RealFactorization(_Record):
     """constant * prod (x - root)^k * prod (x^2 + p*x + q)^k, all exact."""
 
     constant: Fraction
@@ -104,8 +102,7 @@ def factor_real(q: Polynomial) -> RealFactorization:
 # -- partial fractions ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartialFractions:
+class PartialFractions(_Record):
     """polynomial_part + sum A/(x-r)^k + sum (B*x+C)/(x^2+p*x+q)."""
 
     polynomial_part: Polynomial
@@ -190,16 +187,14 @@ def partial_fractions(p: Polynomial, q: Polynomial) -> PartialFractions:
 # -- symbolic antiderivatives ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyTerm:
+class PolyTerm(_Record):
     poly: Polynomial
 
     def eval(self, x: float) -> float:
         return self.poly(x)
 
 
-@dataclass(frozen=True)
-class LogAbs:
+class LogAbs(_Record):
     coeff: Fraction
     root: Fraction
 
@@ -207,8 +202,7 @@ class LogAbs:
         return float(self.coeff) * math.log(abs(x - float(self.root)))
 
 
-@dataclass(frozen=True)
-class PowerTerm:
+class PowerTerm(_Record):
     coeff: Fraction
     root: Fraction
     exponent: int  # always <= -1
@@ -217,8 +211,7 @@ class PowerTerm:
         return float(self.coeff) * (x - float(self.root)) ** self.exponent
 
 
-@dataclass(frozen=True)
-class LogQuadratic:
+class LogQuadratic(_Record):
     coeff: Fraction
     p: Fraction
     q: Fraction
@@ -227,8 +220,7 @@ class LogQuadratic:
         return float(self.coeff) * math.log(x * x + float(self.p) * x + float(self.q))
 
 
-@dataclass(frozen=True)
-class ArctanTerm:
+class ArctanTerm(_Record):
     """(coeff/s) * arctan((x + p/2)/s) with s = sqrt(q - p^2/4) > 0."""
 
     coeff: Fraction
@@ -270,8 +262,7 @@ def _is_square(fr: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class SymbolicAntiderivative:
+class SymbolicAntiderivative(_Record):
     terms: tuple[Term, ...]
 
     def eval(self, x: float) -> float:
@@ -354,8 +345,7 @@ def integrate_rational(p: Polynomial, q: Polynomial) -> SymbolicAntiderivative:
 _CONIC_KINDS = ("circle", "ellipse", "hyperbola", "parabola")
 
 
-@dataclass(frozen=True)
-class ConicParam:
+class ConicParam(_Record):
     """Rational parametrization data for one conic in standard position.
 
     circle/ellipse:  x = a(1-t^2)/(1+t^2),  y = 2bt/(1+t^2)

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _EXPORTS
+from . import _EXPORTS, _Record
 # Not called here; perfbench's layer tracer wraps this binding by name.
 from .disc import discriminant_resultant  # noqa: F401
 from .exact import Polynomial, _coeff_float, _horner_float
@@ -40,8 +39,7 @@ _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # primitive cube root of unity
 _OMEGA2 = complex(-0.5, -math.sqrt(3.0) / 2.0)
 
 
-@dataclass(frozen=True)
-class DepressedPolynomial:
+class DepressedPolynomial(_Record):
     """Monic polynomial with zero second-highest coefficient, plus the shift.
 
     `poly(x + shift)` recovers the monic form of the original input, so a
@@ -52,8 +50,7 @@ class DepressedPolynomial:
     shift: Fraction
 
 
-@dataclass(frozen=True)
-class CubicRoots:
+class CubicRoots(_Record):
     roots: tuple[complex, complex, complex]
     residuals: tuple[float, float, float]
     tolerance: float  # residual_tolerance(f), the bound the polishing aimed at

@@ -455,6 +455,23 @@ def test_resultant_of_a_constant():
             assert resultant(g, Polynomial([c])) == c**degree
 
 
+def test_discriminant_resultant_matches_res_f_fprime_and_sympy():
+    """The route takes Res(F, F') over Z for F = d * f; it must equal
+    (-1)**(n(n-1)/2) * Res(f, f') / a_n over Q, and sympy's discriminant,
+    for non-monic inputs with denominators and with repeated roots."""
+    for seed in range(60):
+        rng = random.Random(4000 + seed)
+        f = random_poly(rng, rng.randint(2, 16), sparse=rng.choice([0.0, 0.6]), bits=rng.choice([4, 30]))
+        if seed % 5 == 0:  # a planted square factor: the discriminant is 0
+            g = random_poly(rng, rng.randint(1, 3))
+            f = f * g * g
+        n = f.degree
+        over_q = (-1) ** (n * (n - 1) // 2) * resultant(f, f.derivative()) / f.leading_coefficient
+        expected = as_fraction(sympy.discriminant(sympy_poly(f)))
+        assert discriminant_resultant(f) == over_q == expected
+        assert expected == 0 or seed % 5
+
+
 def test_resultant_errors():
     with pytest.raises(ValueError):
         resultant(Polynomial(), Polynomial([1, 1]))

@@ -80,6 +80,10 @@ def _fresh(code: str) -> str:
 
 _LOADED = "import json, sys; print(json.dumps(sorted(m[8:] for m in sys.modules if m.startswith('klasika.'))))"
 
+# The records derive from `klasika._Record`, so nothing loads `dataclasses` or
+# the `inspect` it imports; a cold start would pay about 10 ms for them.
+_HEAVY = "import sys; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+
 
 def test_layer_names_resolve_in_a_fresh_interpreter():
     out = _fresh("import klasika, types; m = getattr(klasika, 'forms'); "
@@ -88,7 +92,13 @@ def test_layer_names_resolve_in_a_fresh_interpreter():
 
 
 def test_importing_the_cli_loads_only_exact():
-    assert json.loads(_fresh("import klasika.cli; " + _LOADED)) == ["cli", "exact"]
+    loaded, heavy = _fresh(f"import klasika.cli; {_LOADED}; {_HEAVY}").splitlines()
+    assert json.loads(loaded) == ["cli", "exact"]
+    assert heavy == "[]"
+
+
+def test_star_import_loads_neither_dataclasses_nor_inspect():
+    assert _fresh(f"from klasika import *; {_HEAVY}").strip() == "[]"
 
 
 # Which layers each subcommand loads.  `roots` binds `disc`, and `ratfun`
@@ -121,7 +131,8 @@ SUBCOMMAND_LAYERS = [
 
 @pytest.mark.parametrize("argv, layers", SUBCOMMAND_LAYERS, ids=[argv[0] for argv, _ in SUBCOMMAND_LAYERS])
 def test_each_subcommand_loads_exactly_its_layers(argv, layers):
-    out = _fresh(f"from klasika.cli import run; print(run({argv!r}).status); {_LOADED}")
-    status, loaded = out.splitlines()
+    out = _fresh(f"from klasika.cli import run; print(run({argv!r}).status); {_LOADED}; {_HEAVY}")
+    status, loaded, heavy = out.splitlines()
     assert status == "ok"
     assert set(json.loads(loaded)) == layers | {"cli"}
+    assert heavy == "[]"
