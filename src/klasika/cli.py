@@ -288,7 +288,7 @@ def _cmd_construct_eval(args, opts):
         raise UsageError(f"cannot parse expression: {exc}") from None
     value, bound = construct.eval_constructible(expr)
     payload = {"expression": args[0], "value": _fnum(value), "degree_bound": bound}
-    return payload, f"{args[0]} = {value!r}   (tower degree bound {bound})"
+    return payload, f"{args[0]} = {payload['value']!r}   (tower degree bound {bound})"
 
 
 def _ratfun_args(args, usage: str) -> tuple[Polynomial, Polynomial]:

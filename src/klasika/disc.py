@@ -27,8 +27,8 @@ fraction-free (Bareiss) steps over the integers, whose divisions are all
 exact.  There are two kernels.  The general one serves `determinant` and the
 linear solves and null spaces of `forms`: each row is cleared of denominators
 and rows are swapped to find pivots.  The symmetric one serves the Hankel
-route alone: it updates only the upper triangle, and it finds pivots by
-congruences, which keep the matrix symmetric and the determinant unchanged.
+route and `forms.inertia`: it updates only the upper triangle, and it finds
+pivots by congruences, which keep the symmetry, determinant and inertia.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ class SquareMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("SquareMatrix is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.rows,)
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
@@ -97,7 +100,7 @@ def _eliminate(
     """Fraction-free (Bareiss) elimination of rational rows over Z.
 
     This is the general kernel; the Hankel route's symmetric matrices go to
-    `_symmetric_determinant` instead.  Each row is first scaled to integers
+    `_symmetric_pivots` instead.  Each row is first scaled to integers
     by its least common denominator.  Every entry produced afterwards is a
     minor of that integer matrix, so each division by the previous pivot is
     exact.  With ``jordan`` the entries above each pivot are cleared too
@@ -154,34 +157,33 @@ def determinant(m: SquareMatrix | Sequence[Sequence[RationalLike]]) -> Fraction:
     return Fraction(a[-1][-1], scale)
 
 
-def _symmetric_determinant(rows: Sequence[Sequence[int]], extra: int) -> int:
+def _symmetric_pivots(rows: Sequence[Sequence[int]], extra: int) -> list[int]:
     """Fraction-free (Bareiss) elimination of a symmetric integer matrix.
 
     Every matrix the steps produce is symmetric too, since its (i, j) entry
     is a bordered minor symmetric in i and j, so only the upper triangle is
     kept: row i holds columns i..n-1.  With pivot p = a[r][r] a step sets
     a[i][j] = (p * a[i][j] - a[r][i] * a[r][j]) // prev for r < i <= j.
-    A zero pivot is replaced by a congruence (`_repivot`), which changes
-    neither the symmetry nor the determinant.
-
-    Every step after the first also divides by ``extra``, which the caller
-    must know to be exact for the minors on any k distinct rows and columns:
-    the last pivot of an n x n matrix is its determinant divided by
-    extra**((n-1)(n-2)/2).  Returns that last pivot, 0 for a singular matrix.
+    A zero pivot is replaced by a congruence (`_repivot`), which keeps the
+    symmetry, determinant and inertia; a zero row is dropped.  Each step after
+    the first also divides by ``extra``, which the caller must know to be exact
+    for the minors on any k distinct rows and columns: the k-th pivot is the
+    k-th leading minor of the congruent kept rows over extra**((k-1)(k-2)/2).
     """
-    n = len(rows)
     u = [list(row[i:]) for i, row in enumerate(rows)]
-    prev = 1
-    for r in range(n - 1):
+    pivots: list[int] = []
+    while (r := len(pivots)) < len(u):
         if not u[r][0] and not _repivot(u, r):
-            return 0
+            del u[r]
+            continue
         top = u[r]
         p = top[0]
-        for i in range(r + 1, n):
+        prev = pivots[-1] * extra if pivots else 1
+        for i in range(r + 1, len(u)):
             f = top[i - r]
             u[i] = [(p * x - f * y) // prev for x, y in zip(u[i], top[i - r :])]
-        prev = p * extra
-    return u[-1][0]
+        pivots.append(p)
+    return pivots
 
 
 def _repivot(u: list[list[int]], r: int) -> bool:
@@ -316,16 +318,15 @@ def discriminant_hankel(f: Polynomial) -> Fraction:
     congruences that replace a zero pivot turn each minor into a sum of minors
     on distinct rows and columns, so the division stays exact after them.
 
-    [T] is symmetric, and so is every matrix its Bareiss steps produce, so the
-    elimination (`_symmetric_determinant`) computes only the upper triangle.
+    `_symmetric_pivots` eliminates [T]; a row it drops makes [T] singular.
     """
     n = f.degree
     if f.is_zero or n < 2:
         raise ValueError("discriminant requires degree >= 2")
     d, ints = _clear_denominators(f.coeffs)
     t = _power_sums_z(ints, 2 * n - 2)
-    last = _symmetric_determinant([t[i : i + n] for i in range(n)], ints[-1] ** 2)
-    return Fraction(last, d ** (2 * n - 2))
+    pivots = _symmetric_pivots([t[i : i + n] for i in range(n)], ints[-1] ** 2)
+    return Fraction(pivots[-1] if len(pivots) == n else 0, d ** (2 * n - 2))
 
 
 def has_repeated_roots(f: Polynomial) -> bool:

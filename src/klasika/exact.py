@@ -86,6 +86,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod

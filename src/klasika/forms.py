@@ -13,12 +13,12 @@ Conventions worth pinning down once:
   M -> C^t M C.  (Congruence, not similarity: the two coincide only for
   orthogonal C, even though older texts blur the names.)
 * Inertia (counts of positive/negative/zero eigenvalues) is computed EXACTLY
-  from the characteristic polynomial with Descartes' sign-variation rule,
-  which is an exact count here because symmetric matrices have all-real
-  spectra.  `inertia` is the one signature routine: a quadric's kind is read
-  from the inertia of its matrix, a conic's from the inertias of its
-  quadratic part Q and its bordered 3x3 matrix B (Sylvester's law), so no
-  classification ever hinges on a floating-point sign.
+  from the pivot signs of the Hankel discriminant route's symmetric
+  elimination by congruences (Sylvester's law of inertia).  `inertia` is the
+  one signature routine: a quadric's kind is read from the inertia of its
+  matrix, a conic's from the inertias of its quadratic part Q and its
+  bordered 3x3 matrix B, so no classification ever hinges on a
+  floating-point sign.
 * `orthogonal_diagonalize` returns eigenvector COLUMNS in S with
   A = S diag(D) S^t; texts that write A = S^t D S are using the transposed
   convention, which for orthogonal S is the same factorization read backwards.
@@ -32,9 +32,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _EXPORTS, _Record
-from .disc import SquareMatrix, _eliminate
+from .disc import SquareMatrix, _eliminate, _symmetric_pivots
 from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, _coeff_float
-from .exact import _rational_split, _sign_variations
+from .exact import _rational_split
 from .roots import _newton, solve_cubic_cardano, solve_quadratic
 # Not called here; perfbench's layer tracer wraps this binding by name.
 from .disc import determinant  # noqa: F401
@@ -239,18 +239,17 @@ def char_poly(m: SquareMatrix) -> Polynomial:
 def inertia(m: SquareMatrix) -> Inertia:
     """Exact eigenvalue sign counts (positive, negative, zero).
 
-    Descartes' rule applied to the characteristic polynomial counts the
-    positive roots exactly because a symmetric matrix has only real
-    eigenvalues; the zero count is the multiplicity of the root 0.
+    By Sylvester's law of inertia they are the signs of the pivots of any
+    elimination by congruences: D_k / D_(k-1) for the Bareiss pivots, the
+    leading minors D_k, and 0 for each row the elimination drops.
     """
     if not m.is_symmetric():
         raise ValueError("inertia requires a symmetric matrix")
-    p = char_poly(m)
-    n_zero = next(i for i, c in enumerate(p.coeffs) if c != 0)
-    n_plus = _sign_variations(p.coeffs)
-    n_minus = _sign_variations([c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)])
-    assert n_plus + n_minus + n_zero == m.n
-    return Inertia(n_plus, n_minus, n_zero)
+    n = m.n
+    flat = _clear_denominators(v for row in m.rows for v in row)[1]
+    pivots = _symmetric_pivots([flat[i * n : (i + 1) * n] for i in range(n)], 1)
+    n_minus = sum(p * q < 0 for p, q in zip([1, *pivots], pivots))
+    return Inertia(len(pivots) - n_minus, n_minus, n - len(pivots))
 
 
 # -- conic classification --------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from klasika import forms
 from klasika.cli import run
 from klasika.disc import discriminant_resultant
 from klasika.exact import Polynomial, poly_gcd, rational_roots
@@ -59,6 +60,9 @@ GOLDEN_HUMAN = {
     ("construct-eval", "sqrt(2+sqrt(2))"): (
         "sqrt(2+sqrt(2)) = 1.8477590650225735   (tower degree bound 4)"
     ),
+    # the text shows the value the JSON carries: a product with a negative
+    # factor evaluates to -0.0 in floats, and both outputs print 0.0
+    ("construct-eval", "0*(0-1)"): "0*(0-1) = 0.0   (tower degree bound 1)",
     ("integrate", "4,-1,2", "/", "0,4,0,1"): (
         "integral of (2*x^2 - x + 4) / (x^3 + 4*x) dx = "
         "ln|x| + 1/2*ln(x^2+4) - 1/2*arctan(x/2) + K"
@@ -420,6 +424,20 @@ GOLDEN_JSON = {
 @pytest.mark.parametrize("argv", sorted(GOLDEN_JSON), ids=lambda a: " ".join(a))
 def test_golden_json_output(argv):
     assert run(["--json", *argv]).to_json() == GOLDEN_JSON[argv]
+
+
+def test_classification_builds_no_characteristic_polynomial(monkeypatch):
+    def refuse(m):
+        raise AssertionError("inertia reads pivot signs, not char_poly")
+
+    monkeypatch.setattr(forms, "char_poly", refuse)
+    human = [argv for argv in sorted(GOLDEN_HUMAN) if argv[0].startswith("classify-")]
+    machine = [argv for argv in sorted(GOLDEN_JSON) if argv[0].startswith("classify-")]
+    assert {argv[0] for argv in human} == {argv[0] for argv in machine} == {"classify-conic", "classify-quadric"}
+    for argv in human:
+        assert run(list(argv)).human_text == GOLDEN_HUMAN[argv]
+    for argv in machine:
+        assert run(["--json", *argv]).to_json() == GOLDEN_JSON[argv]
 
 
 def test_json_is_wellformed_and_versioned():

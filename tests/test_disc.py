@@ -126,10 +126,12 @@ def symmetric_matrices():
                 yield sympy.Matrix(a).rank(), a
 
 
-def test_symmetric_determinant_matches_determinant(repivots):
+def test_symmetric_pivots_match_determinant_and_rank(repivots):
     singular_ranks = {n: set() for n in range(1, 11)}
     for rank, a in symmetric_matrices():
-        assert disc._symmetric_determinant(a, 1) == determinant(a)
+        pivots = disc._symmetric_pivots(a, 1)
+        assert len(pivots) == rank and all(pivots)
+        assert (pivots[-1] if rank == len(a) else 0) == determinant(a)
         if rank < len(a):
             singular_ranks[len(a)].add(rank)
     assert all(ranks == set(range(n)) for n, ranks in singular_ranks.items())

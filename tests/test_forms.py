@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klasika.disc import SquareMatrix, determinant
 from klasika.exact import Polynomial
@@ -224,6 +226,53 @@ def test_inertia_matches_numpy(rng):
     for _ in range(120):
         m = rand_sym_matrix(rng, rng.choice((2, 3)))
         assert inertia(m).as_tuple() == numpy_inertia(m)
+
+
+def descartes_inertia(m):
+    """The inertia by Descartes' rule of signs on the characteristic
+    polynomial, exact because a symmetric matrix has only real eigenvalues."""
+
+    def variations(coeffs):
+        signs = [c > 0 for c in coeffs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    p = char_poly(m).coeffs
+    n_zero = next(i for i, c in enumerate(p) if c)
+    n_plus = variations(p)
+    n_minus = variations([c if i % 2 == 0 else -c for i, c in enumerate(p)])
+    assert n_plus + n_minus + n_zero == m.n
+    return n_plus, n_minus, n_zero
+
+
+entries = st.sampled_from([0, 0, 1, -1]) | st.fractions(-9, 9, max_denominator=4)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices of order 1-8: random, with a zero diagonal,
+    or B^t D B of rank below the order."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "zero diagonal", "rank deficient"]))
+    if kind == "rank deficient":
+        rank = draw(st.integers(0, n - 1))
+        b = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(rank)]
+        d = [draw(st.sampled_from([-2, -1, Fraction(1, 3), 1])) for _ in range(rank)]
+        rows = [[sum(b[t][i] * d[t] * b[t][j] for t in range(rank)) for j in range(n)] for i in range(n)]
+    else:
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = 0 if kind == "zero diagonal" and i == j else draw(entries)
+    return SymMatrix(rows)
+
+
+@settings(deadline=None, max_examples=300)
+@given(m=symmetric_matrices())
+def test_inertia_matches_descartes_and_numpy(m):
+    sig = inertia(m).as_tuple()
+    assert sig == descartes_inertia(m)
+    if sig[2] == 0:
+        assert sig == numpy_inertia(m)
 
 
 def test_sylvester_law_congruence_invariance(rng):

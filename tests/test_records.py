@@ -148,15 +148,21 @@ def test_setting_or_deleting_an_attribute_raises_attribute_error(record):
     assert getattr(record, field) is before
 
 
-# Polynomial refuses the attribute writes that copy and pickle make, so the
-# records that hold one are left out.
-COPYABLE = [record for record in RECORDS if not any(isinstance(v, P) for v in _values(record))]
-
-
-@pytest.mark.parametrize("record", COPYABLE, ids=[type(record).__name__ for record in COPYABLE])
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
 def test_copy_and_pickle_give_an_equal_record(record):
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
+
+
+VALUES = [P([F(1, 2), 0, -3]), klasika.SquareMatrix([[1, F(2, 3)], [0, -1]]), klasika.SymMatrix([[1, 2], [2, 0]])]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=[type(value).__name__ for value in VALUES])
+def test_copy_and_pickle_keep_polynomials_and_matrices_immutable(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+        with pytest.raises(AttributeError):
+            twin.immutable = False
 
 
 def test_post_init_normalises_and_validates():
