@@ -34,7 +34,7 @@ _EXPORTS = {
         "BinaryForm", "TernaryForm", "SymMatrix", "Inertia", "ConicKind", "QuadricKind",
         "Diagonalization", "form_to_matrix", "matrix_to_form", "form_discriminant",
         "is_positive_definite", "transform_form", "char_poly", "inertia", "classify_conic",
-        "classify_quadric", "quadric_degeneracy_note", "orthogonal_diagonalize",
+        "classify_quadric", "orthogonal_diagonalize",
         "diagonal_substitution", "solve_linear_system", "rational_nullspace",
     ),
     "construct": (

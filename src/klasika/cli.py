@@ -8,9 +8,13 @@ human text.  Exit codes: 0 ok, 1 domain error, 2 usage error.
 
 `_COMMANDS` names each subcommand once, with its handler, help syntax and
 help text; the help screen is built from it.  A handler returns its payload
-and human text, and `run` adds the command name.  Each handler imports the
-one layer it calls, so a subcommand loads only that layer and what it
-imports.
+and a zero-argument function that builds the human text, and `run` adds the
+command name.  `run` calls that function only when argv does not ask for
+`--json`, so the text is built only when it is printed.  A number that the
+text prints as the payload does is taken from the payload's string, so it
+is converted to decimal once, and the text cannot fail where the payload
+did not.  Each handler imports the one layer it calls, so a subcommand
+loads only that layer and what it imports.
 
 Coefficient lists are ASCENDING (constant term first): ``disc 2,-3,1`` is
 the polynomial x^2 - 3x + 2.  Quadric cross coefficients are passed as
@@ -42,7 +46,7 @@ class UsageError(ValueError):
 class CommandResult(_Record):
     status: str  # "ok" | "error"
     payload: dict
-    human_text: str
+    human_text: str | None  # None under --json: the text is built only when printed
     exit_code: int
 
     def to_json(self) -> str:
@@ -118,11 +122,12 @@ def _need_args(args: list[str], count: int, usage: str = "") -> None:
         raise UsageError(usage and f"usage: {usage}")
 
 
-def _verdict(title: str, v) -> tuple[dict, str]:
-    """Payload and text of a constructibility verdict headed by `title`."""
+def _verdict(title: str, v):
+    """Payload and text of a constructibility verdict headed by `title`,
+    which is formatted with the payload's fields."""
     word = {True: "yes", False: "no", None: "unknown"}[v.constructible]
-    payload = {"constructible": v.constructible, "constructible_text": word, "reason": v.reason}
-    return {**payload, **v.details}, f"{title}: {word}\n  {v.reason}"
+    payload = {"constructible": v.constructible, "constructible_text": word, "reason": v.reason, **v.details}
+    return payload, lambda: f"{title.format_map(payload)}: {word}\n  {v.reason}"
 
 
 # -- subcommand handlers ------------------------------------------------------------
@@ -145,21 +150,20 @@ def _cmd_disc(args, opts):
         "agree": d_res == d_han,
         "zero": d_res == 0,
     }
-    human = (
+    return payload, lambda: (
         f"discriminant of {f}\n"
-        f"  resultant route: {d_res}\n"
-        f"  power-sum route: {d_han}\n"
+        f"  resultant route: {payload['discriminant_resultant']}\n"
+        f"  power-sum route: {payload['discriminant_hankel']}\n"
         f"  agreement: {'yes' if payload['agree'] else 'NO'}"
     )
-    return payload, human
 
 
 def _cmd_repeated(args, opts):
     from . import disc
     f = _one_poly(args, 1)
     result = disc.has_repeated_roots(f)
-    human = f"{f}: {'has a repeated root' if result else 'all roots are simple'}"
-    return {"polynomial": f.to_text(), "has_repeated_roots": result}, human
+    payload = {"polynomial": f.to_text(), "has_repeated_roots": result}
+    return payload, lambda: f"{f}: {'has a repeated root' if result else 'all roots are simple'}"
 
 
 def _cmd_solve(args, opts):
@@ -184,10 +188,9 @@ def _cmd_solve(args, opts):
         "tolerance": _fnum(tol),
         "within_tolerance": all(r < tol for r in rs),
     }
-    lines = [f"roots of {f}"]
-    for z, r in zip(zs, rs):
-        lines.append(f"  {_fmt_complex(z)}   (residual {_fmt(r)})")
-    return payload, "\n".join(lines)
+    return payload, lambda: "\n".join(
+        [f"roots of {f}", *(f"  {_fmt_complex(z)}   (residual {_fmt(r)})" for z, r in zip(zs, rs))]
+    )
 
 
 def _cmd_depress(args, opts):
@@ -195,7 +198,7 @@ def _cmd_depress(args, opts):
     f = _one_poly(args, 2)
     dep = roots.depress(f)
     payload = {"polynomial": f.to_text(), "depressed": dep.poly.to_text(), "shift": str(dep.shift)}
-    return payload, f"{f}  ->  {dep.poly}   (x = y - ({dep.shift}))"
+    return payload, lambda: f"{f}  ->  {dep.poly}   (x = y - ({payload['shift']}))"
 
 
 def _cmd_classify_conic(args, opts):
@@ -208,8 +211,8 @@ def _cmd_classify_conic(args, opts):
         "kind": kind.value,
         "quadratic_inertia": list(sig.as_tuple()),
     }
-    lhs = _join_terms(_terms([(a, "x^2"), (b, "x*y"), (c, "y^2"), (d, "x"), (e, "y")]))
-    return payload, f"{lhs} = {lam}:  {kind.value}"
+    terms = [(a, "x^2"), (b, "x*y"), (c, "y^2"), (d, "x"), (e, "y")]
+    return payload, lambda: f"{_join_terms(_terms(terms))} = {payload['coefficients'][5]}:  {kind.value}"
 
 
 def _ternary_form(args):
@@ -226,8 +229,7 @@ def _cmd_classify_quadric(args, opts):
     payload = {"inertia": list(sig.as_tuple()), "kind": kind.value}
     if note:
         payload["note"] = note
-    human = f"inertia {sig.as_tuple()}:  {kind.value}" + (f"\n  note: {note}" if note else "")
-    return payload, human
+    return payload, lambda: f"inertia {sig.as_tuple()}:  {kind.value}" + (f"\n  note: {note}" if note else "")
 
 
 def _cmd_diagonalize(args, opts):
@@ -241,30 +243,31 @@ def _cmd_diagonalize(args, opts):
         "residual": _fnum(dg.residual),
         "within_tolerance": dg.residual < tol,
     }
-    lines = ["diagonal form coefficients: " + ", ".join(_fmt(v) for v in diag_coeffs)]
-    for i, row in enumerate(substitution):
-        var = ("x'", "y'", "z'")[i]
-        combo = " ".join(
-            f"{'+' if v >= 0 else '-'} {_fmt(abs(v))}*{name}"
-            for v, name in zip(row, ("x", "y", "z"))
-        )
-        lines.append(f"  {var} = {combo.lstrip('+ ')}")
-    lines.append(f"  reconstruction residual {_fmt(dg.residual)}")
-    return payload, "\n".join(lines)
+
+    def text():
+        lines = ["diagonal form coefficients: " + ", ".join(_fmt(v) for v in diag_coeffs)]
+        for var, row in zip(("x'", "y'", "z'"), substitution):
+            combo = " ".join(
+                f"{'+' if v >= 0 else '-'} {_fmt(abs(v))}*{name}"
+                for v, name in zip(row, ("x", "y", "z"))
+            )
+            lines.append(f"  {var} = {combo.lstrip('+ ')}")
+        lines.append(f"  reconstruction residual {_fmt(dg.residual)}")
+        return "\n".join(lines)
+
+    return payload, text
 
 
 def _cmd_ngon(args, opts):
     from . import construct
     _need_args(args, 1)
-    n = _parse_int(args[0], "n")
-    return _verdict(f"regular {n}-gon constructible", construct.ngon_constructible(n))
+    return _verdict("regular {n}-gon constructible", construct.ngon_constructible(_parse_int(args[0], "n")))
 
 
 def _cmd_trisect(args, opts):
     from . import construct
     _need_args(args, 1, "trisect <cos3a as p/q>")
-    value = _parse_fraction(args[0])
-    return _verdict(f"angle with cos(3a) = {value} trisectable", construct.trisectable(value))
+    return _verdict("angle with cos(3a) = {cos_3a} trisectable", construct.trisectable(_parse_fraction(args[0])))
 
 
 def _cmd_double_cube(args, opts):
@@ -288,7 +291,7 @@ def _cmd_construct_eval(args, opts):
         raise UsageError(f"cannot parse expression: {exc}") from None
     value, bound = construct.eval_constructible(expr)
     payload = {"expression": args[0], "value": _fnum(value), "degree_bound": bound}
-    return payload, f"{args[0]} = {payload['value']!r}   (tower degree bound {bound})"
+    return payload, lambda: f"{args[0]} = {payload['value']!r}   (tower degree bound {bound})"
 
 
 def _ratfun_args(args, usage: str) -> tuple[Polynomial, Polynomial]:
@@ -307,24 +310,13 @@ def _cmd_integrate(args, opts):
     p, q = _ratfun_args(args, "integrate <p-coeffs> / <q-coeffs>")
     rendered = ratfun.integrate_rational(p, q).render()
     payload = {"numerator": p.to_text(), "denominator": q.to_text(), "antiderivative": rendered}
-    return payload, f"integral of ({p}) / ({q}) dx = {rendered}"
+    return payload, lambda: f"integral of ({p}) / ({q}) dx = {rendered}"
 
 
 def _cmd_partfrac(args, opts):
     from . import ratfun
     p, q = _ratfun_args(args, "partfrac <p-coeffs> / <q-coeffs>")
     pf = ratfun.partial_fractions(p, q)
-    pieces = []
-    if not pf.polynomial_part.is_zero:
-        pieces.append(str(pf.polynomial_part))
-    for a, root, power in pf.linear_terms:
-        base = "x" if root == 0 else f"({ratfun._fmt_linear(root)})"
-        denom = base if power == 1 else f"{base}^{power}"
-        pieces.append(f"({a})/{denom}")
-    for b, c, pp, qq in pf.quadratic_terms:
-        num = str(Polynomial([c, b]))
-        den = str(Polynomial([qq, pp, 1]))
-        pieces.append(f"({num})/({den})")
     payload = {
         "numerator": p.to_text(),
         "denominator": q.to_text(),
@@ -332,8 +324,17 @@ def _cmd_partfrac(args, opts):
         "linear_terms": [[str(a), str(r), k] for a, r, k in pf.linear_terms],
         "quadratic_terms": [[str(b), str(c), str(pp), str(qq)] for b, c, pp, qq in pf.quadratic_terms],
     }
-    human = f"({p}) / ({q}) = " + " + ".join(pieces)
-    return payload, human
+
+    def text():
+        pieces = [] if pf.polynomial_part.is_zero else [str(pf.polynomial_part)]
+        for (_, root, power), (a, _, _) in zip(pf.linear_terms, payload["linear_terms"]):
+            base = "x" if root == 0 else f"({ratfun._fmt_linear(root)})"
+            pieces.append(f"({a})/{base}" + (f"^{power}" if power > 1 else ""))
+        for b, c, pp, qq in pf.quadratic_terms:
+            pieces.append(f"({Polynomial([c, b])})/({Polynomial([qq, pp, 1])})")
+        return f"({p}) / ({q}) = " + " + ".join(pieces)
+
+    return payload, text
 
 
 def _cmd_ellipse(args, opts):
@@ -345,7 +346,7 @@ def _cmd_ellipse(args, opts):
     b = _parse_float(args[2], "b")
     value = (ratfun.ellipse_area if mode == "area" else ratfun.ellipse_perimeter)(a, b)
     payload = {"mode": mode, "a": a, "b": b, "value": _fnum(value)}
-    return payload, f"ellipse {mode} (a={_fmt(a)}, b={_fmt(b)}): {_fmt(value)}"
+    return payload, lambda: f"ellipse {mode} (a={_fmt(a)}, b={_fmt(b)}): {_fmt(value)}"
 
 
 def _cmd_param(args, opts):
@@ -369,8 +370,7 @@ def _cmd_param(args, opts):
         "residual": _fnum(residual),
         "within_tolerance": residual < tol,
     }
-    human = f"{kind}(t={_fmt(t)}) = ({_fmt(x)}, {_fmt(y)})   residual {_fmt(residual)}"
-    return payload, human
+    return payload, lambda: f"{kind}(t={_fmt(t)}) = ({_fmt(x)}, {_fmt(y)})   residual {_fmt(residual)}"
 
 
 # Each subcommand once: its handler, its help syntax and its help text.  The
@@ -404,7 +404,9 @@ _USAGE = "usage: klasika [--json] [--tol X] <command> ...\n\ncommands:\n" + "".j
 
 
 def run(argv: list[str]) -> CommandResult:
-    """Execute one command line; never raises."""
+    """Execute one command line; never raises.  The human text is built only
+    when argv does not contain --json; under --json it is None."""
+    wants_json = "--json" in argv
     opts: dict = {}
     positional: list[str] = []
     try:
@@ -422,8 +424,8 @@ def run(argv: list[str]) -> CommandResult:
                 if not (opts["tol"] > 0 and math.isfinite(opts["tol"])):
                     raise UsageError("--tol must be a positive finite number")
             elif arg == "--help" or arg == "-h":
-                return CommandResult("ok", {"command": "help", "usage": _USAGE}, _USAGE, 0)
-            elif arg != "--json":  # `main` reads --json from argv itself
+                return CommandResult("ok", {"command": "help", "usage": _USAGE}, None if wants_json else _USAGE, 0)
+            elif arg != "--json":
                 positional.append(arg)
             i += 1
         if not positional:
@@ -433,30 +435,25 @@ def run(argv: list[str]) -> CommandResult:
             raise UsageError(f"unknown command {command!r}")
         handler, syntax, _ = _COMMANDS[command]
         try:
-            payload, human = handler(rest, opts)
+            payload, text = handler(rest, opts)
         except UsageError as exc:
             raise UsageError(str(exc) or f"usage: {syntax}") from None
-        return CommandResult("ok", {"command": command, **payload}, human, 0)
+        return CommandResult("ok", {"command": command, **payload}, None if wants_json else text(), 0)
     except UsageError as exc:
-        return CommandResult("error", {"error": str(exc), "kind": "usage"}, f"error: {exc}", 2)
+        error, kind, code = str(exc), "usage", 2
     except (ValueError, ArithmeticError) as exc:
-        return CommandResult("error", {"error": str(exc), "kind": "domain"}, f"error: {exc}", 1)
+        error, kind, code = str(exc), "domain", 1
     except RecursionError:
-        return CommandResult(
-            "error", {"error": "input too deeply nested", "kind": "domain"},
-            "error: input too deeply nested", 1,
-        )
+        error, kind, code = "input too deeply nested", "domain", 1
     except Exception as exc:  # pragma: no cover - fuzz safety net
-        return CommandResult(
-            "error", {"error": f"internal error: {exc}", "kind": "internal"},
-            f"internal error: {exc}", 1,
-        )
+        error, kind, code = f"internal error: {exc}", "internal", 1
+    human = error if kind == "internal" else f"error: {error}"
+    return CommandResult("error", {"error": error, "kind": kind}, None if wants_json else human, code)
 
 
 def main(argv: list[str] | None = None) -> int:
     result = run(list(sys.argv[1:]) if argv is None else list(argv))
-    wants_json = "--json" in (sys.argv[1:] if argv is None else argv)
-    print(result.to_json() if wants_json else result.human_text)
+    print(result.to_json() if result.human_text is None else result.human_text)
     return result.exit_code
 
 

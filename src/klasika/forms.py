@@ -332,17 +332,13 @@ def _classify_quadric(form: TernaryForm) -> tuple[QuadricKind, Inertia]:
     return _QUADRIC_TABLE.get(sig.as_tuple(), QuadricKind.OTHER), sig
 
 
-def quadric_degeneracy_note(form: TernaryForm) -> str | None:
+def _degeneracy_note(sig: Inertia) -> str | None:
     """A caveat for rank-deficient forms, where level sets can degenerate.
 
     The inertia table is applied as stated even when the matrix is singular,
     but e.g. the all-ones form has (x+y+z)^2 = h as its level sets, a pair of
     parallel planes rather than a curved cylinder; the note flags that.
     """
-    return _degeneracy_note(inertia(form_to_matrix(form)))
-
-
-def _degeneracy_note(sig: Inertia) -> str | None:
     if sig.n_zero == 0:
         return None
     return (

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from klasika import forms
-from klasika.cli import run
+from klasika import cli, forms
+from klasika.cli import main, run
 from klasika.disc import discriminant_resultant
 from klasika.exact import Polynomial, poly_gcd, rational_roots
 from klasika.ratfun import factor_real, partial_fractions
@@ -426,6 +426,49 @@ def test_golden_json_output(argv):
     assert run(["--json", *argv]).to_json() == GOLDEN_JSON[argv]
 
 
+def test_json_builds_no_text(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the human text was built under --json")
+
+    def textless(handler):
+        return lambda args, opts: (handler(args, opts)[0], refuse)
+
+    # the CLI's text-only helpers; Polynomial.__str__ and ratfun's renderers
+    # also serve payloads, so they stay
+    for name in ("_fmt", "_fmt_complex", "_join_terms"):
+        monkeypatch.setattr(cli, name, refuse)
+    commands = {name: (textless(handler), *rest) for name, (handler, *rest) in cli._COMMANDS.items()}
+    monkeypatch.setattr(cli, "_COMMANDS", commands)
+    assert {argv[0] for argv in GOLDEN_JSON} == set(commands)  # every subcommand
+    for argv in sorted(GOLDEN_JSON):
+        result = run(["--json", *argv])
+        assert result.to_json() == GOLDEN_JSON[argv]
+        assert result.human_text is None
+
+
+MAIN_OUTPUTS = [
+    # --tol takes "--json" as its value, and the argv still asks for JSON
+    (["--tol", "--json", "disc", "2,-3,1"],
+     '{"error": "malformed --tol value: \'--json\'", "kind": "usage", "schema": 1, "status": "error"}', 2),
+    (["--tol", "disc", "2,-3,1"], "error: malformed --tol value: 'disc'", 2),
+    (["disc", "--json", "2,-3,1"], GOLDEN_JSON[("disc", "2,-3,1")], 0),
+    (["disc", "2,-3,1"], GOLDEN_HUMAN[("disc", "2,-3,1")], 0),
+    (["disc", "2,-3,1", "--tol", "1e-3", "--json"], GOLDEN_JSON[("disc", "2,-3,1")], 0),
+    (["disc", "2,-3,1", "--tol", "1e-3"], GOLDEN_HUMAN[("disc", "2,-3,1")], 0),
+    (["--help", "--json"], json.dumps({"command": "help", "schema": 1, "status": "ok", "usage": HELP_TEXT}), 0),
+    (["--help"], HELP_TEXT, 0),
+    (["--json"], json.dumps(
+        {"error": "no command given\n" + HELP_TEXT, "kind": "usage", "schema": 1, "status": "error"}), 2),
+    ([], "error: no command given\n" + HELP_TEXT, 2),
+]
+
+
+@pytest.mark.parametrize("argv, stdout, exit_code", MAIN_OUTPUTS, ids=[" ".join(a) or "(empty)" for a, *_ in MAIN_OUTPUTS])
+def test_main_prints_the_output_argv_asks_for(capsys, argv, stdout, exit_code):
+    assert main(argv) == exit_code
+    assert capsys.readouterr().out == stdout + "\n"
+
+
 def test_classification_builds_no_characteristic_polynomial(monkeypatch):
     def refuse(m):
         raise AssertionError("inertia reads pivot signs, not char_poly")
@@ -604,3 +647,13 @@ def test_fuzz_never_crashes_smoke():
         assert result.status in ("ok", "error")
         assert result.payload.get("kind") != "internal"
         json.loads(result.to_json(), parse_constant=_refuse_constant)
+
+
+def test_json_and_plain_runs_agree():
+    rng = random.Random(1234)  # the argv of test_fuzz_never_crashes_smoke
+    for _ in range(3000):
+        argv = _random_argv(rng)
+        plain, machine = run(argv), run(["--json", *argv])
+        assert (plain.status, plain.exit_code, plain.payload) == (machine.status, machine.exit_code, machine.payload)
+        assert (plain.human_text is None) == ("--json" in argv)
+        assert machine.human_text is None

@@ -27,7 +27,6 @@ from klasika.forms import (
     is_positive_definite,
     matrix_to_form,
     orthogonal_diagonalize,
-    quadric_degeneracy_note,
     rational_nullspace,
     solve_linear_system,
     transform_form,
@@ -522,8 +521,9 @@ def test_classify_quadric_cross_terms_against_numpy():
 
 
 def test_quadric_degeneracy_note():
-    assert quadric_degeneracy_note(TernaryForm(1, 1, 1, 0, 0, 0)) is None
-    note = quadric_degeneracy_note(TernaryForm.from_equation_coefficients(1, 1, 1, 2, 2, 2))
+    assert forms._degeneracy_note(inertia(form_to_matrix(TernaryForm(1, 1, 1, 0, 0, 0)))) is None
+    degenerate = TernaryForm.from_equation_coefficients(1, 1, 1, 2, 2, 2)
+    note = forms._degeneracy_note(inertia(form_to_matrix(degenerate)))
     assert note is not None and "rank" in note
 
 
