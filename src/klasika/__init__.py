@@ -33,15 +33,13 @@ _EXPORTS = {
     "forms": (
         "BinaryForm", "TernaryForm", "SymMatrix", "Inertia", "ConicKind", "QuadricKind",
         "Diagonalization", "form_to_matrix", "matrix_to_form", "form_discriminant",
-        "is_positive_definite", "transform_form", "char_poly", "inertia", "classify_conic",
-        "classify_quadric", "orthogonal_diagonalize",
+        "char_poly", "inertia", "classify_conic", "classify_quadric", "orthogonal_diagonalize",
         "diagonal_substitution", "solve_linear_system", "rational_nullspace",
     ),
     "construct": (
         "Num", "Add", "Sub", "Mul", "Div", "Sqrt", "ConstructibleExpr", "ConstructibilityVerdict",
         "parse_constructible", "eval_constructible", "is_fermat_prime", "ngon_constructible",
         "trisectable", "cube_scaling", "cube_doubling", "circle_squaring",
-        "degree_power_of_two_check",
     ),
     "ratfun": (
         "UnsupportedFactorizationError", "RealFactorization", "PartialFractions", "PolyTerm",

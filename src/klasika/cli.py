@@ -236,7 +236,8 @@ def _cmd_diagonalize(args, opts):
     from . import forms
     dg = forms.orthogonal_diagonalize(forms.form_to_matrix(_ternary_form(args)))
     substitution, diag_coeffs = tuple(zip(*dg.S)), dg.D  # as forms.diagonal_substitution
-    tol = opts.get("tol", 1e-6)
+    # README's bound 1e-6*(1 + |M|), |M| the spectral norm max |D|; an explicit --tol is absolute
+    tol = opts.get("tol", 1e-6 * (1 + max(abs(v) for v in diag_coeffs)))
     payload = {
         "substitution": [[_fnum(v) for v in row] for row in substitution],
         "diagonal_form": [_fnum(v) for v in diag_coeffs],

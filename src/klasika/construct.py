@@ -9,9 +9,6 @@ that are exact and total at this scale:
   witness (an irreducible integer cubic, or an explicit factorization);
 * regular n-gons reduce to the factorization of n: every odd prime factor
   must be a Fermat prime (2^2^r + 1) and appear exactly once;
-* the power-of-two degree condition alone is necessary, not sufficient, so
-  `degree_power_of_two_check` answers `unknown` (None) when the degree does
-  pass, rather than overclaiming;
 * squaring the circle is settled by the transcendence of pi, which is taken
   as a documented fact rather than something this code could compute.
 
@@ -26,7 +23,7 @@ from fractions import Fraction
 from typing import Union
 
 from . import _EXPORTS, _Record
-from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, rational_roots
+from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, _coeff_float, rational_roots
 
 __all__ = list(_EXPORTS["construct"])
 
@@ -76,7 +73,7 @@ def eval_constructible(expr: ConstructibleExpr) -> tuple[float, int]:
     the degree of the value over Q.
     """
     if isinstance(expr, Num):
-        return float(expr.value), 1
+        return _coeff_float(expr.value), 1
     if isinstance(expr, Sqrt):
         val, bound = eval_constructible(expr.operand)
         if val < 0:
@@ -377,60 +374,3 @@ def circle_squaring() -> ConstructibilityVerdict:
         {"axiom": "transcendence of pi"},
     )
 
-
-# -- generic degree criterion ------------------------------------------------------
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and n & (n - 1) == 0
-
-
-def degree_power_of_two_check(
-    f: Polynomial, witness_root_is_target: bool = True
-) -> ConstructibilityVerdict:
-    """Necessary-condition check: a constructible number has 2-power degree.
-
-    Irreducibility is only decided where the rational-root test settles it
-    (degree <= 3).  For an irreducible witness of non-2-power degree the
-    verdict is False; for 2-power degree it is `unknown`, since the degree
-    condition alone is not sufficient.  If the polynomial splits, every root
-    lies in a factor of degree <= 2 and is therefore constructible.
-    """
-    if f.is_zero:
-        raise ValueError("the zero polynomial carries no degree information")
-    n = f.degree
-    if n == 0:
-        raise ValueError("a nonzero constant has no roots to test")
-    target = "the designated root" if witness_root_is_target else "each root"
-    details = {"degree": n, "witness_root_is_target": witness_root_is_target}
-    if n > 3:
-        return ConstructibilityVerdict(
-            None,
-            f"degree {n} {'is' if _is_power_of_two(n) else 'is not'} a power of 2, but "
-            "irreducibility cannot be established by rational-root methods at this degree",
-            details,
-        )
-    roots = rational_roots(f)
-    if roots:
-        details["rational_roots"] = [str(r) for r in roots]
-        return ConstructibilityVerdict(
-            True,
-            f"f splits off rational roots {', '.join(str(r) for r in roots)}; every "
-            f"factor has degree <= 2, so {target} is constructible",
-            details,
-        )
-    if n == 1:
-        raise AssertionError("a linear polynomial always has a rational root")
-    if _is_power_of_two(n):
-        return ConstructibilityVerdict(
-            None,
-            f"f is irreducible of degree {n}, a power of 2: the necessary condition "
-            "passes, but this criterion alone does not certify constructibility",
-            details,
-        )
-    return ConstructibilityVerdict(
-        False,
-        f"f is irreducible (no rational root) of degree {n}, which is not a power of 2, "
-        f"so {target} is not constructible",
-        details,
-    )

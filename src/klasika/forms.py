@@ -197,21 +197,6 @@ def form_discriminant(form: BinaryForm) -> Fraction:
     return form.b * form.b - 4 * form.a * form.c
 
 
-def is_positive_definite(form: BinaryForm) -> bool:
-    return form.a > 0 and form_discriminant(form) < 0
-
-
-def transform_form(form: BinaryForm, c: Sequence[Sequence[RationalLike]]) -> BinaryForm:
-    """The form whose matrix is C^t M C; equivalent to `form` when det C != 0."""
-    cm = SquareMatrix(c)
-    if cm.n != 2:
-        raise ValueError("transformation matrix must be 2x2")
-    m = cm.transpose() @ form_to_matrix(form) @ cm
-    out = matrix_to_form(SymMatrix(m.rows))
-    assert isinstance(out, BinaryForm)
-    return out
-
-
 # -- characteristic polynomial and exact inertia --------------------------------
 
 

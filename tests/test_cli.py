@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klasika import cli, forms
 from klasika.cli import main, run
@@ -13,7 +15,8 @@ from klasika.exact import Polynomial, poly_gcd, rational_roots
 from klasika.ratfun import factor_real, partial_fractions
 from klasika.roots import residual_tolerance, solve_cubic_cardano
 
-from conftest import expand_roots
+from conftest import convolve, expand_roots
+from test_ratfun import apart_terms
 
 
 def out(argv):
@@ -590,6 +593,7 @@ def test_diagonalize_out_of_range_entries_are_refused_fast():
     ["diagonalize", "1e308,1e308,0,2e308,0,0"],  # in-range entries, the eigenvalue 2e308
     ["solve", "1,0,1e-400"],  # the leading coefficient underflows to 0.0
     ["solve", "1,0,0,1e-400"],
+    ["construct-eval", "9" * 400],  # an integer literal beyond the double range
 ])
 def test_float_range_is_named(argv):
     for mode in ([], ["--json"]):
@@ -600,10 +604,55 @@ def test_float_range_is_named(argv):
         }
 
 
+def test_diagonalize_tolerance_is_relative_to_the_norm():
+    # residual 3e-16 relative to |M| = 2e300: inside README's 1e-6*(1 + |M|)
+    entries = ",".join(["1e300"] * 6)
+    assert run(["diagonalize", entries]).payload["within_tolerance"] is True
+    assert run(["--tol", "1e-6", "diagonalize", entries]).payload["within_tolerance"] is False
+
+
 def test_decimal_exponent_within_the_limit_is_answered():
     result = run(["disc", "1e4290,0,1"])
     assert result.exit_code == 0
     assert result.payload["discriminant_resultant"] == str(-4 * 10**4290)
+
+
+@st.composite
+def planted_rational_functions(draw):
+    """(p, q) as CLI coefficient lists: q = lead * prod (x - r)^m over distinct
+    rational roots, times at most one irreducible quadratic, of degree <= 16."""
+    fractions = st.fractions(-12, 12, max_denominator=8)
+    quadratic = draw(st.none() | st.tuples(fractions, st.fractions(1, 9, max_denominator=5).filter(bool)))
+    roots = draw(st.dictionaries(fractions, st.integers(1, 4), min_size=quadratic is None, max_size=6))
+    budget = 16 - 2 * (quadratic is not None)
+    planted = []
+    for r, m in roots.items():
+        planted += [r] * min(m, budget - len(planted))
+    q = expand_roots(planted, draw(fractions.filter(bool)))
+    if quadratic is not None:  # x^2 + b*x + b^2/4 + d, d > 0, has no real root
+        b, d = quadratic
+        q = convolve(q, [b * b / 4 + d, b, Fraction(1)])
+    p = draw(st.lists(fractions, max_size=len(q) + 1)) + [draw(fractions.filter(bool))]
+    return ",".join(map(str, p)), ",".join(map(str, q))
+
+
+@settings(deadline=None, max_examples=60)
+@given(planted_rational_functions())
+def test_partfrac_and_integrate_on_planted_denominators(pq):
+    p, q = pq
+    result = run(["--json", "partfrac", p, "/", q])
+    assert result.status == "ok", result.payload
+    poly_part, linear, quadratic = apart_terms(Polynomial.from_text(p), Polynomial.from_text(q))
+    payload = result.payload
+    assert payload["polynomial_part"] == poly_part.to_text()
+    # a numerator sharing a factor with q leaves that term's coefficients at 0
+    linear_terms = [(Fraction(a), Fraction(r), k) for a, r, k in payload["linear_terms"] if a != "0"]
+    assert sorted(linear_terms, key=lambda t: t[1:]) == linear
+    assert [
+        tuple(map(Fraction, t)) for t in payload["quadratic_terms"] if t[:2] != ["0", "0"]
+    ] == quadratic
+    integral = run(["--json", "integrate", p, "/", q])
+    assert integral.status == "ok", integral.payload
 
 
 def _random_argv(rng: random.Random) -> list[str]:
