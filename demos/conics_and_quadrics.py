@@ -4,8 +4,9 @@ A quadratic equation in 2 or 3 variables is governed by the symmetric
 matrix of its quadratic part.  The counts of positive/negative/zero
 eigenvalues (the inertia) never change under an invertible change of
 coordinates, and they pin down the shape.  Here the counts are computed
-exactly, by Descartes' rule on the characteristic polynomial, so no
-classification ever flips on floating-point noise.
+exactly, from the pivot signs of a symmetric elimination by congruences
+over Z (Sylvester's law of inertia), so no classification ever flips on
+floating-point noise.
 """
 
 from fractions import Fraction
@@ -42,7 +43,7 @@ m = form_to_matrix(mixed)
 print("\nx^2 + y^2 - z^2 + 3xy - 5xz + 4yz = 1:")
 print("  matrix rows:", [list(map(str, row)) for row in m.rows])
 print("  characteristic polynomial (ascending):", char_poly(m).to_text())
-print("  inertia:", inertia(m).as_tuple())
+print("  inertia:", inertia(m))
 print("  kind:", classify_quadric(mixed).value)
 
 # Orthogonal diagonalization makes the classification concrete: an explicit

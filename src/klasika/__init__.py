@@ -31,7 +31,7 @@ _EXPORTS = {
         "solve_cubic_cardano", "roots_of_unity", "residual_tolerance",
     ),
     "forms": (
-        "BinaryForm", "TernaryForm", "SymMatrix", "Inertia", "ConicKind", "QuadricKind",
+        "BinaryForm", "TernaryForm", "SymMatrix", "ConicKind", "QuadricKind",
         "Diagonalization", "form_to_matrix", "matrix_to_form", "form_discriminant",
         "char_poly", "inertia", "classify_conic", "classify_quadric", "orthogonal_diagonalize",
         "diagonal_substitution", "solve_linear_system", "rational_nullspace",

@@ -209,7 +209,7 @@ def _cmd_classify_conic(args, opts):
     payload = {
         "coefficients": [str(v) for v in (a, b, c, d, e, lam)],
         "kind": kind.value,
-        "quadratic_inertia": list(sig.as_tuple()),
+        "quadratic_inertia": list(sig),
     }
     terms = [(a, "x^2"), (b, "x*y"), (c, "y^2"), (d, "x"), (e, "y")]
     return payload, lambda: f"{_join_terms(_terms(terms))} = {payload['coefficients'][5]}:  {kind.value}"
@@ -226,10 +226,10 @@ def _cmd_classify_quadric(args, opts):
     from . import forms
     kind, sig = forms._classify_quadric(_ternary_form(args))
     note = forms._degeneracy_note(sig)
-    payload = {"inertia": list(sig.as_tuple()), "kind": kind.value}
+    payload = {"inertia": list(sig), "kind": kind.value}
     if note:
         payload["note"] = note
-    return payload, lambda: f"inertia {sig.as_tuple()}:  {kind.value}" + (f"\n  note: {note}" if note else "")
+    return payload, lambda: f"inertia {sig}:  {kind.value}" + (f"\n  note: {note}" if note else "")
 
 
 def _cmd_diagonalize(args, opts):

@@ -237,8 +237,6 @@ def is_fermat_prime(p: int) -> bool:
     k = m.bit_length() - 1  # p = 2^k + 1
     if k == 0 or k & (k - 1) != 0:
         return False  # k must itself be a power of two
-    if p % 2 == 0:
-        return False
     d = 3
     while d * d <= p:
         if p % d == 0:
@@ -267,40 +265,32 @@ def ngon_constructible(n: int) -> ConstructibilityVerdict:
     """
     if n < 3:
         raise ValueError("a polygon needs n >= 3 vertices")
-    m = n
-    factorization: dict[int, int] = {}
-    m, twos = _strip(m, 2)
-    if twos:
-        factorization[2] = twos
-    violations: list[str] = []
+    m, twos = _strip(n, 2)
+    odd: dict[int, int] = {}  # ascending: the odd primes up to 65537, then any cofactor
     d = 3
     while d * d <= m and d <= 65537:
         if m % d == 0:
-            m, k = _strip(m, d)
-            factorization[d] = k
-            if not is_fermat_prime(d):
-                violations.append(f"odd prime factor {d} is not a Fermat prime")
-            elif k > 1:
-                violations.append(f"Fermat prime factor {d} appears {k} times")
+            m, odd[d] = _strip(m, d)
         d += 2
     if m > 1:
-        if m <= 65537:
-            factorization[m] = factorization.get(m, 0) + 1
-            if not is_fermat_prime(m):
-                violations.append(f"odd prime factor {m} is not a Fermat prime")
-        else:
-            factorization[m] = 1
+        odd[m] = 1  # a prime if m <= 65537, else a product of primes above 65537
+    violations = []
+    for p, k in odd.items():
+        if p > 65537:
             violations.append(
-                f"odd cofactor {m} has no prime factor <= 65537 and therefore no Fermat prime factor"
+                f"odd cofactor {p} has no prime factor <= 65537 and therefore no Fermat prime factor"
             )
+        elif not is_fermat_prime(p):
+            violations.append(f"odd prime factor {p} is not a Fermat prime")
+        elif k > 1:
+            violations.append(f"Fermat prime factor {p} appears {k} times")
     details = {
         "n": n,
-        "factorization": {str(p): k for p, k in sorted(factorization.items())},
+        "factorization": {str(p): k for p, k in {2: twos, **odd}.items() if k},
         "violations": violations,
     }
     if violations:
         return ConstructibilityVerdict(False, "; ".join(violations), details)
-    odd = sorted(p for p in factorization if p != 2)
     reason = f"n = 2^{twos}" + "".join(f" * {p}" for p in odd)
     reason += ": every odd prime factor is a distinct Fermat prime"
     return ConstructibilityVerdict(True, reason, details)

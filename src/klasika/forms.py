@@ -125,15 +125,6 @@ class SymMatrix(SquareMatrix):
             raise ValueError("matrix is not symmetric")
 
 
-class Inertia(_Record):
-    n_plus: int
-    n_minus: int
-    n_zero: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.n_plus, self.n_minus, self.n_zero)
-
-
 class ConicKind(str, Enum):
     ELLIPSE = "Ellipse"
     HYPERBOLA = "Hyperbola"
@@ -221,8 +212,8 @@ def char_poly(m: SquareMatrix) -> Polynomial:
     return Polynomial(list(reversed(coeffs_desc)))
 
 
-def inertia(m: SquareMatrix) -> Inertia:
-    """Exact eigenvalue sign counts (positive, negative, zero).
+def inertia(m: SquareMatrix) -> tuple[int, int, int]:
+    """Exact eigenvalue sign counts as the tuple (n_plus, n_minus, n_zero).
 
     By Sylvester's law of inertia they are the signs of the pivots of any
     elimination by congruences: D_k / D_(k-1) for the Bareiss pivots, the
@@ -234,7 +225,7 @@ def inertia(m: SquareMatrix) -> Inertia:
     flat = _clear_denominators(v for row in m.rows for v in row)[1]
     pivots = _symmetric_pivots([flat[i * n : (i + 1) * n] for i in range(n)], 1)
     n_minus = sum(p * q < 0 for p, q in zip([1, *pivots], pivots))
-    return Inertia(len(pivots) - n_minus, n_minus, n - len(pivots))
+    return (len(pivots) - n_minus, n_minus, n - len(pivots))
 
 
 # -- conic classification --------------------------------------------------------
@@ -276,15 +267,15 @@ def classify_conic(
     return _classify_conic(a, b, c, d, e, lam)[0]
 
 
-def _classify_conic(a, b, c, d, e, lam) -> tuple[ConicKind, Inertia]:
+def _classify_conic(a, b, c, d, e, lam) -> tuple[ConicKind, tuple[int, int, int]]:
     """The conic kind together with the inertia of Q it was read from."""
     a, b, c, d, e, lam = (_as_fraction(v) for v in (a, b, c, d, e, lam))
     if a == 0 and b == 0 and c == 0:
         raise ValueError("not a conic: the quadratic part is zero")
     sig_q = inertia(SymMatrix([[a, b / 2], [b / 2, c]]))
     sig_b = inertia(SymMatrix([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, -lam]]))
-    key = (sig_q.as_tuple(), sig_b.as_tuple())
-    if sig_q.n_plus < sig_q.n_minus:  # negating the equation swaps both sign counts
+    key = (sig_q, sig_b)
+    if sig_q[0] < sig_q[1]:  # negating the equation swaps both sign counts
         key = tuple((p, m, z) for m, p, z in key)
     kind = _CONIC_TABLE[key]
     if kind is ConicKind.ELLIPSE and a == c and b == 0:
@@ -309,25 +300,26 @@ def classify_quadric(form: TernaryForm) -> QuadricKind:
     return _classify_quadric(form)[0]
 
 
-def _classify_quadric(form: TernaryForm) -> tuple[QuadricKind, Inertia]:
+def _classify_quadric(form: TernaryForm) -> tuple[QuadricKind, tuple[int, int, int]]:
     """The surface kind together with the inertia it was read from."""
     if form.is_zero:
         raise ValueError("cannot classify the zero form")
     sig = inertia(form_to_matrix(form))
-    return _QUADRIC_TABLE.get(sig.as_tuple(), QuadricKind.OTHER), sig
+    return _QUADRIC_TABLE.get(sig, QuadricKind.OTHER), sig
 
 
-def _degeneracy_note(sig: Inertia) -> str | None:
+def _degeneracy_note(sig: tuple[int, int, int]) -> str | None:
     """A caveat for rank-deficient forms, where level sets can degenerate.
 
     The inertia table is applied as stated even when the matrix is singular,
     but e.g. the all-ones form has (x+y+z)^2 = h as its level sets, a pair of
     parallel planes rather than a curved cylinder; the note flags that.
     """
-    if sig.n_zero == 0:
+    rank = 3 - sig[2]
+    if rank == 3:
         return None
     return (
-        f"rank {3 - sig.n_zero} < 3: the homogeneous classification is by the "
+        f"rank {rank} < 3: the homogeneous classification is by the "
         "inertia table, but level sets of a degenerate form may flatten "
         "(e.g. into parallel planes)"
     )
@@ -412,7 +404,7 @@ def _float_null_vector(a: list[list[float]]) -> list[float]:
     return [x / nrm for x in best]
 
 
-def orthogonal_diagonalize(m: SymMatrix) -> Diagonalization:
+def orthogonal_diagonalize(m: SquareMatrix) -> Diagonalization:
     """Eigenvalues from the exact characteristic polynomial, eigenvectors
     from null spaces of M - lambda*I, orthonormalized per eigenspace.
 
@@ -423,14 +415,17 @@ def orthogonal_diagonalize(m: SymMatrix) -> Diagonalization:
     Columns are ordered by ascending eigenvalue.  Some eigenvalue has
     |lambda| >= max |m_ij|, so an entry beyond the double range is refused
     before any exact work: no float answer could hold that eigenvalue.
+    A matrix that is not symmetric is refused first; a SymMatrix already is.
     """
     if m.n not in (2, 3):
         raise ValueError("orthogonal diagonalization supports 2x2 and 3x3 only")
+    if not isinstance(m, SymMatrix) and not m.is_symmetric():
+        raise ValueError("orthogonal diagonalization requires a symmetric matrix")
     n = m.n
     mf = [[_coeff_float(v) for v in row] for row in m.rows]
     p = char_poly(m)
     split = _rational_split(p)
-    pairs: list[tuple[float, list[list[float]]]] = []
+    pairs: list[tuple[float, list[float]]] = []  # (eigenvalue, unit eigenvector)
 
     rational = sorted((lam, mult) for mult, (rats, _) in enumerate(split, 1) for lam in rats)
     for lam, mult in rational:
@@ -440,13 +435,12 @@ def orthogonal_diagonalize(m: SymMatrix) -> Diagonalization:
         basis = rational_nullspace(shifted)
         assert len(basis) == mult
         floats = _orthonormalize([[_coeff_float(x) for x in vec] for vec in basis])
-        for vec in floats:
-            pairs.append((_coeff_float(lam), [vec]))
+        pairs.extend((_coeff_float(lam), vec) for vec in floats)
 
-    remaining = Polynomial(split[0][1]).monic()  # the irrational eigenvalues are simple
-    if remaining.degree >= 1:
-        if remaining.degree == 1:
-            raise ArithmeticError("linear factor should have produced a rational root")
+    # The irrational eigenvalues are simple, and a rational linear factor's
+    # root was split off above, so what remains has degree 0, 2 or 3.
+    remaining = Polynomial(split[0][1]).monic()
+    if remaining.degree >= 2:
         if remaining.degree == 2:
             irr = [z.real for z in solve_quadratic(remaining)]
         else:
@@ -456,13 +450,12 @@ def orthogonal_diagonalize(m: SymMatrix) -> Diagonalization:
                 [mf[i][j] - (lam_f if i == j else 0.0) for j in range(n)]
                 for i in range(n)
             ]
-            pairs.append((lam_f, [_float_null_vector(shifted)]))
+            pairs.append((lam_f, _float_null_vector(shifted)))
 
     pairs.sort(key=lambda t: t[0])
-    columns = [vec for _, vecs in pairs for vec in vecs]
-    columns = _orthonormalize(columns)  # scrub residual cross-eigenspace skew
+    columns = _orthonormalize([vec for _, vec in pairs])  # scrub residual cross-eigenspace skew
     columns = [_canonical_sign(v) for v in columns]
-    eigenvalues = tuple(lam for lam, vecs in pairs for _ in vecs)
+    eigenvalues = tuple(lam for lam, _ in pairs)
 
     s_rows = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
     recon_residual = _reconstruction_residual(mf, s_rows, eigenvalues)

@@ -16,6 +16,7 @@ from klasika.ratfun import factor_real, partial_fractions
 from klasika.roots import residual_tolerance, solve_cubic_cardano
 
 from conftest import convolve, expand_roots
+from test_forms import classify_conic_by_schur, numpy_inertia, transform_conic
 from test_ratfun import apart_terms
 
 
@@ -653,6 +654,59 @@ def test_partfrac_and_integrate_on_planted_denominators(pq):
     ] == quadratic
     integral = run(["--json", "integrate", p, "/", q])
     assert integral.status == "ok", integral.payload
+
+
+# For each `_CONIC_TABLE` row, the signs of c, e and lambda in the canonical
+# equation p*x^2 + c*y^2 + e*y = lambda (p, |c|, |e|, |lambda| > 0) whose Q and
+# bordered B have that row's inertias.
+_CANONICAL_CONICS = {
+    ((2, 0, 0), (2, 1, 0)): (1, 0, 1),  # x^2 + y^2 = 1
+    ((2, 0, 0), (2, 0, 1)): (1, 0, 0),  # x^2 + y^2 = 0
+    ((2, 0, 0), (3, 0, 0)): (1, 0, -1),  # x^2 + y^2 = -1
+    ((1, 1, 0), (2, 1, 0)): (-1, 0, -1),  # x^2 - y^2 = -1
+    ((1, 1, 0), (1, 2, 0)): (-1, 0, 1),  # x^2 - y^2 = 1
+    ((1, 1, 0), (1, 1, 1)): (-1, 0, 0),  # x^2 - y^2 = 0
+    ((1, 0, 1), (2, 1, 0)): (0, 1, 1),  # x^2 + y = 1
+    ((1, 0, 1), (1, 1, 1)): (0, 0, 1),  # x^2 = 1
+    ((1, 0, 1), (1, 0, 2)): (0, 0, 0),  # x^2 = 0
+    ((1, 0, 1), (2, 0, 1)): (0, 0, -1),  # x^2 = -1
+}
+
+
+def test_the_canonical_conics_cover_every_table_row():
+    assert set(_CANONICAL_CONICS) == set(forms._CONIC_TABLE)
+    for row, (c, e, lam) in _CANONICAL_CONICS.items():
+        q, b = forms.SymMatrix([[1, 0], [0, c]]), forms.SymMatrix([[1, 0, 0], [0, c, e], [0, e, -lam]])
+        assert (forms.inertia(q), forms.inertia(b)) == row
+
+
+@st.composite
+def planted_conics(draw):
+    """(row, coefficients): a canonical conic with the inertias of one
+    `_CONIC_TABLE` row, moved by an invertible rational affine map and scaled
+    by a nonzero rational."""
+    row = draw(st.sampled_from(sorted(_CANONICAL_CONICS)))
+    c_sign, e_sign, lam_sign = _CANONICAL_CONICS[row]
+    p, c, e, lam = draw(st.lists(st.fractions(1, 9, max_denominator=6), min_size=4, max_size=4))
+    canonical = (p, Fraction(0), c_sign * c, Fraction(0), e_sign * e, lam_sign * lam)
+    entries = st.fractions(-4, 4, max_denominator=2)
+    pair = st.lists(entries, min_size=2, max_size=2)
+    matrix = draw(st.lists(pair, min_size=2, max_size=2).filter(lambda m: m[0][0] * m[1][1] != m[0][1] * m[1][0]))
+    scale = draw(entries.filter(bool))
+    return row, [scale * v for v in transform_conic(canonical, matrix, draw(pair))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(planted_conics())
+def test_classify_conic_through_the_cli_on_every_table_row(planted):
+    row, coeffs = planted
+    result = run(["--json", "classify-conic", ",".join(map(str, coeffs))])
+    assert result.status == "ok", result.payload  # so no error, "internal" or other
+    kind = forms.ConicKind(result.payload["kind"])
+    assert kind == classify_conic_by_schur(*coeffs)
+    assert forms._CONIC_TABLE[row] == (forms.ConicKind.ELLIPSE if kind is forms.ConicKind.CIRCLE else kind)
+    a, b, c = coeffs[:3]
+    assert tuple(result.payload["quadratic_inertia"]) == numpy_inertia(forms.SymMatrix([[a, b / 2], [b / 2, c]]))
 
 
 def _random_argv(rng: random.Random) -> list[str]:

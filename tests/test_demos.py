@@ -45,6 +45,7 @@ def test_readme_quick_start_runs():
     assert len(set(roots)) == 3 and all(abs(r**3 - 1) < 1e-12 for r in roots)
     assert sorted(claims) == [
         "'ln|x| + 1/2*ln(x^2+4) - 1/2*arctan(x/2) + K'",
+        "(2, 0, 0): positive definite",
         "ConicKind.ELLIPSE",
         "Fraction(1, 1)",
         "Fraction(1, 1), independent route",

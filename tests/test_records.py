@@ -26,7 +26,6 @@ SAMPLES = [
     (klasika.TernaryForm(1, 2, 3, F(1, 2), 0, -1),
      "TernaryForm(a=Fraction(1, 1), b=Fraction(2, 1), c=Fraction(3, 1), d=Fraction(1, 2), "
      "e=Fraction(0, 1), f=Fraction(-1, 1))"),
-    (klasika.Inertia(2, 1, 0), "Inertia(n_plus=2, n_minus=1, n_zero=0)"),
     (klasika.Diagonalization(((1.0, 0.0), (0.0, 1.0)), (2.0, -1.0), 0.0),
      "Diagonalization(S=((1.0, 0.0), (0.0, 1.0)), D=(2.0, -1.0), residual=0.0)"),
     (klasika.Num(3), "Num(value=Fraction(3, 1))"),
@@ -73,7 +72,7 @@ def _values(record):
 def test_the_samples_cover_every_record_class():
     exported = {name for names in klasika._EXPORTS.values() for name in names
                 if isinstance(getattr(klasika, name), type) and issubclass(getattr(klasika, name), _Record)}
-    assert len(exported) == 22
+    assert len(exported) == 21
     assert {type(record).__name__ for record in RECORDS} == exported | {"CommandResult"}
 
 
