@@ -75,11 +75,11 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt(re)}{sign}{_fmt(abs(im))}i"
 
 
-def _parse_poly(text: str, min_degree: int = 0) -> Polynomial:
+def _parse_poly(text: str, min_degree: float = 0) -> Polynomial:
     f = Polynomial.from_text(text)
-    if f.degree != float("-inf") and f.degree > _MAX_DEGREE:
+    if f.degree > _MAX_DEGREE:
         raise UsageError(f"polynomial degree {f.degree} exceeds the supported cap {_MAX_DEGREE}")
-    if f.is_zero or f.degree < min_degree:
+    if f.degree < min_degree:
         raise ValueError(f"need a polynomial of degree >= {min_degree}, got {text!r}")
     return f
 
@@ -303,7 +303,8 @@ def _ratfun_args(args, usage: str) -> tuple[Polynomial, Polynomial]:
         top, bottom = args[0].split("/")
     else:
         raise UsageError(f"usage: {usage}")
-    return _parse_poly(top), _parse_poly(bottom)
+    # a zero numerator is answered; a zero denominator gets partial_fractions' refusal
+    return _parse_poly(top, -math.inf), _parse_poly(bottom, -math.inf)
 
 
 def _cmd_integrate(args, opts):
@@ -333,7 +334,7 @@ def _cmd_partfrac(args, opts):
             pieces.append(f"({a})/{base}" + (f"^{power}" if power > 1 else ""))
         for b, c, pp, qq in pf.quadratic_terms:
             pieces.append(f"({Polynomial([c, b])})/({Polynomial([qq, pp, 1])})")
-        return f"({p}) / ({q}) = " + " + ".join(pieces)
+        return f"({p}) / ({q}) = " + (" + ".join(pieces) or "0")
 
     return payload, text
 

@@ -155,7 +155,7 @@ def parse_constructible(text: str) -> ConstructibleExpr:
             if take() != ")":
                 raise ValueError("missing closing parenthesis after sqrt operand")
             return Sqrt(node)
-        if tok.isdigit():
+        if tok.isdecimal():
             return Num(Fraction(tok))
         raise ValueError(f"unexpected token {tok!r}")
 
@@ -175,9 +175,9 @@ def _tokenize(text: str) -> list[str]:
         elif ch in "+-*/()":
             tokens.append(ch)
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(text[i:j])
             i = j

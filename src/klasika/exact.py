@@ -455,14 +455,12 @@ def _taylor_shift(coeffs: Sequence, h, rounds: int | None = None) -> list:
     return a
 
 
-def _taylor_coeffs(g: list[int], r: Fraction, k: int) -> list[Fraction]:
-    """The first k Taylor coefficients of g at r = p/s: k rounds of synthetic
-    division of s**n * g(y/s) by y - p over Z, then the i-th over s**(n-i)."""
-    g = g + [0] * (k - len(g))  # the coefficients past the degree are zero
-    p, s, n = r.numerator, r.denominator, len(g) - 1
-    powers = [s**i for i in range(n + 1)]
-    shifted = _taylor_shift([c * powers[n - i] for i, c in enumerate(g)], p, k)
-    return [Fraction(shifted[i], powers[n - i]) for i in range(k)]
+def _taylor_coeffs(g: list[int], r: Fraction, n: int, k: int) -> list[int]:
+    """s**(n-i) * T_i for i < k, T_i the i-th Taylor coefficient at r = p/s of
+    g of degree <= n: k rounds of synthetic division of s**n * g(y/s) by y - p
+    over Z.  T_i = 0 past the degree of g."""
+    p, s = r.numerator, r.denominator
+    return (_taylor_shift([c * s ** (n - i) for i, c in enumerate(g)], p, k) + [0] * k)[:k]
 
 
 def _node_candidates(c: int, k: int, e: int, an: int, a0: int) -> list[Fraction] | None:

@@ -13,6 +13,9 @@ error naming the offender, never with a silently wrong answer.
 The decomposition solves no linear system: each coefficient is local to its
 factor (a Taylor coefficient at a rational root, a residue modulo a simple
 quadratic), so it costs O(n * sum m) for deg q = n and multiplicities m.
+Both run over Z: the Taylor coefficients at a root u/s are scaled by s^(n-i),
+and a quadratic's residue is taken after y = t*x makes it monic over Z.  Each
+output coefficient is built as one Fraction.
 
 Antiderivatives come out term by term:
 
@@ -127,60 +130,63 @@ class PartialFractions(_Record):
         return num, den
 
 
-def _mod_quadratic(coeffs, p: Fraction, q: Fraction) -> tuple[Fraction, Fraction]:
-    """(u, v) with sum coeffs[i]*x^i = u*x + v mod x^2+p*x+q, by Horner."""
-    u = v = Fraction(0)
-    for c in reversed(coeffs):
-        u, v = v - p * u, c - q * u
-    return u, v
-
-
-def _mul_mod(f: tuple, g: tuple, p: Fraction, q: Fraction) -> tuple[Fraction, Fraction]:
-    """(a*x+b)*(c*x+d) mod x^2+p*x+q, for f = (a, b) and g = (c, d)."""
-    (a, b), (c, d) = f, g
-    return a * d + b * c - p * a * c, b * d - q * a * c
-
-
 def partial_fractions(p: Polynomial, q: Polynomial) -> PartialFractions:
     """Exact decomposition of p/q by local expansion at each factor of q.
 
-    With r = p mod q and q = (x-a)^m * h, A_k/(x-a)^k has A_(m-j) the j-th
-    Taylor coefficient of r/h at a: the series quotient of r's Taylor
-    coefficients 0..m-1 at a by q's m..2m-1, found over Z.  For a simple
-    quadratic factor Q, h = q/Q is q'/Q' mod Q, so B*x + C = r*Q'/q' mod Q.
+    With r = p mod q and q = (x-a)^m * h, A_(m-j) is the j-th Taylor
+    coefficient of r/h at a: the series quotient of r's Taylor coefficients
+    0..m-1 at a = u/s by q's m..2m-1, on integers scaled by s^(n-i), n = deg q.
+    For a simple quadratic factor Q, h = q/Q is q'/Q' mod Q, so B*x + C =
+    r*Q'/q' mod Q, reduced over Z after y = t*x makes Q monic over Z.  Each
+    output coefficient is one Fraction.
     """
     if q.is_zero:
         raise ZeroDivisionError("denominator is the zero polynomial")
+    poly_part, rem = divmod(p, q)
+    if rem.is_zero:  # q divides p: no factor of q is needed
+        return PartialFractions(poly_part, (), ())
     fact = factor_real(q)
     for _, _, mult in fact.quadratic_factors:
         if mult >= 2:
             raise UnsupportedFactorizationError(
                 "repeated quadratic factors are not supported by this decomposition"
             )
-    poly_part, rem = divmod(p, q)
-    if rem.is_zero:
-        return PartialFractions(poly_part, (), ())
     d_rem, rem_ints = _clear_denominators(rem.coeffs)
     d_q, q_ints = _clear_denominators(q.coeffs)
-    scale = Fraction(d_q, d_rem)
+    n = q.degree
     linear_terms = []
-    for root, mult in fact.linear_factors:
-        num = _taylor_coeffs(rem_ints, root, mult)
-        den = _taylor_coeffs(q_ints, root, 2 * mult)[mult:]
-        series: list[Fraction] = []
-        for j in range(mult):
-            acc = num[j] - sum(den[i] * series[j - i] for i in range(1, j + 1))
-            series.append(acc / den[0])
-        series.reverse()  # now series[k-1] is A_k
-        linear_terms += [(scale * a, root, k) for k, a in enumerate(series, 1) if a]
+    for root, m in fact.linear_factors:
+        rho = _taylor_coeffs(rem_ints, root, n, m)
+        kappa = _taylor_coeffs(q_ints, root, n, 2 * m)[m:]
+        lead = [kappa[0] ** i for i in range(m + 1)]
+        sigma: list[int] = []
+        for j in range(m):
+            acc = sum(kappa[i] * lead[i - 1] * sigma[j - i] for i in range(1, j + 1))
+            sigma.append(rho[j] * lead[j] - acc)
+        s = root.denominator
+        linear_terms += [
+            (Fraction(d_q * sigma[j] * s**j, d_rem * s**m * lead[j + 1]), root, m - j)
+            for j in reversed(range(m)) if sigma[j]
+        ]
 
     quadratic_terms = []
     for pp, qq, _ in fact.quadratic_factors:
-        du, dv = _mod_quadratic(q.derivative().coeffs, pp, qq)
-        numer = _mul_mod(_mod_quadratic(rem.coeffs, pp, qq), (2, pp), pp, qq)
-        b, c = _mul_mod(numer, (-du, dv - pp * du), pp, qq)
-        norm = dv * dv - pp * du * dv + qq * du * du  # (u*x+v)(-u*x+v-p*u) mod Q
-        quadratic_terms.append((b / norm, c / norm, pp, qq))
+        t = math.lcm(pp.denominator, qq.denominator)
+        tp, tq = int(pp * t), int(qq * t * t)  # t^2 * Q(y/t) = y^2 + tp*y + tq
+        reduced = []  # t^n * r(y/t) and t^(n-1) * q'(y/t), each as u*y + v mod Q
+        for coeffs in ([c * t ** (n - i) for i, c in enumerate(rem_ints)],
+                       [i * c * t ** (n - i) for i, c in enumerate(q_ints) if i]):
+            u = v = 0
+            for c in reversed(coeffs):
+                u, v = v - tp * u, c - tq * u
+            reduced.append((u, v))
+        (ru, rv), (du, dv) = reduced
+        nu, nv = 2 * rv - tp * ru, tp * rv - 2 * tq * ru  # r * (2y + tp), Q' = (2y + tp)/t
+        cu, cv = -du, dv - tp * du  # q' * (cu*y + cv) = norm mod Q
+        norm = dv * dv - tp * du * dv + tq * du * du
+        b, c = nu * cv + nv * cu - tp * nu * cu, nv * cv - tq * nu * cu
+        den = d_rem * t * norm
+        quadratic_terms.append((Fraction(d_q * b, den), Fraction(d_q * c, den * t), pp, qq))
     return PartialFractions(poly_part, tuple(linear_terms), tuple(quadratic_terms))
 
 

@@ -618,6 +618,33 @@ def test_decimal_exponent_within_the_limit_is_answered():
     assert result.payload["discriminant_resultant"] == str(-4 * 10**4290)
 
 
+@pytest.mark.parametrize("argv, text, fields", [
+    (["partfrac", "0", "/", "1,1"], "(0) / (x + 1) = 0",
+     {"polynomial_part": "0", "linear_terms": [], "quadratic_terms": []}),
+    (["integrate", "0", "/", "1,1"], "integral of (0) / (x + 1) dx = K", {"antiderivative": "K"}),
+    # 0 = 0/((x^2+1)(x^2+4)) needs no factor of the quartic, which factor_real refuses
+    (["partfrac", "0/4,0,5,0,1"], "(0) / (x^4 + 5*x^2 + 4) = 0",
+     {"polynomial_part": "0", "linear_terms": [], "quadratic_terms": []}),
+    (["integrate", "8,0,10,0,2", "/", "4,0,5,0,1"], "integral of (2*x^4 + 10*x^2 + 8) / (x^4 + 5*x^2 + 4) dx = 2*x + K",
+     {"antiderivative": "2*x + K"}),
+], ids=["partfrac-zero", "integrate-zero", "partfrac-zero-quartic", "integrate-divisible-quartic"])
+def test_zero_remainder_is_answered(argv, text, fields):
+    assert run(argv).human_text == text
+    result = run(["--json", *argv])
+    assert result.exit_code == 0
+    assert {key: result.payload[key] for key in fields} == fields
+
+
+@pytest.mark.parametrize("argv", [
+    ["partfrac", "1", "/", "0"], ["integrate", "0", "/", "0,0"], ["partfrac", "1,2/0"],
+])
+def test_zero_denominator_is_named(argv):
+    for mode in ([], ["--json"]):
+        result = run(mode + argv)
+        assert result.exit_code == 1
+        assert result.payload == {"error": "denominator is the zero polynomial", "kind": "domain"}
+
+
 @st.composite
 def planted_rational_functions(draw):
     """(p, q) as CLI coefficient lists: q = lead * prod (x - r)^m over distinct

@@ -19,6 +19,7 @@ from klasika.construct import (
     parse_constructible,
     trisectable,
 )
+from klasika.cli import run
 from klasika.exact import Polynomial, rational_roots
 
 
@@ -44,6 +45,14 @@ def test_eval_errors():
         eval_constructible(Div(Num(1), Sub(Num(2), Num(2))))
     with pytest.raises(ValueError, match="exceeds the double-precision range"):
         eval_constructible(Num(10**400))
+    # a number is a run of decimal digits, the characters Fraction reads as digits;
+    # a superscript is refused by the tokenizer, not by Fraction
+    with pytest.raises(ValueError, match="unexpected character '²'"):
+        parse_constructible("3²")
+    for mode in ([], ["--json"]):
+        result = run(mode + ["construct-eval", "3²"])
+        assert result.exit_code == 2
+        assert result.payload == {"error": "cannot parse expression: unexpected character '²'", "kind": "usage"}
 
 
 def test_parse_roundtrip():
@@ -54,6 +63,10 @@ def test_parse_roundtrip():
     assert parse_constructible("-3") == Sub(Num(0), Num(3))
     assert parse_constructible("1/2") == Div(Num(1), Num(2))
     assert parse_constructible("2*(3+4)") == Mul(Num(2), Add(Num(3), Num(4)))
+    # an Arabic-Indic digit is a decimal digit, here as in `disc 1,٣,1`
+    assert parse_constructible("٣") == Num(3)
+    assert run(["--json", "construct-eval", "٣"]).payload["value"] == 3.0
+    assert run(["--json", "disc", "1,٣,1"]).payload["discriminant_resultant"] == "5"
 
 
 @pytest.mark.parametrize(

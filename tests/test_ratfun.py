@@ -304,6 +304,27 @@ def test_partial_fractions_large_denominator_roots():
     assert num * q == p * den
 
 
+@pytest.mark.parametrize("p, q, powers", [
+    # 2m = 8 > deg q + 1: q's Taylor coefficients at 1/3 run past its degree
+    (Polynomial([5, -1, 0, 2]), Polynomial([-1, 3]) ** 4, [1, 2, 3, 4]),
+    # fractional leading coefficient, root and numerator; the quadratic needs y = 6x
+    (
+        Polynomial([Fraction(1, 2), Fraction(-3, 7), 0, Fraction(5, 3), 1, Fraction(2, 9)]),
+        Fraction(3, 4) * Polynomial([Fraction(-2, 5), 1]) ** 2 * Polynomial([Fraction(1, 3), Fraction(1, 2), 1]),
+        [1, 2],
+    ),
+    # the root 0 of multiplicity 3 beside x^2 + 4
+    (Polynomial([1, -2, 3, 0, 1]), Polynomial([0, 0, 0, 1]) * Polynomial([4, 0, 1]), [1, 2, 3]),
+])
+def test_partial_fractions_integer_residue_corner_cases(p, q, powers):
+    pf = partial_fractions(p, q)
+    assert pf == coefficient_matching(p, q)
+    assert [k for _, _, k in pf.linear_terms] == powers
+    assert all(isinstance(v, Fraction) for term in pf.linear_terms + pf.quadratic_terms for v in term[:2])
+    num, den = pf.recombine()
+    assert num * q == p * den
+
+
 # -- symbolic integration --------------------------------------------------------------
 
 
