@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "exact": ("Polynomial", "Rational", "poly_gcd", "rational_roots"),
     "disc": (
-        "SquareMatrix", "determinant", "sylvester_matrix", "resultant", "power_sums",
-        "discriminant_resultant", "discriminant_hankel", "has_repeated_roots",
+        "SquareMatrix", "determinant", "solve_linear_system", "sylvester_matrix", "resultant",
+        "power_sums", "discriminant_resultant", "discriminant_hankel", "has_repeated_roots",
     ),
     "roots": (
         "DepressedPolynomial", "CubicRoots", "depress", "solve_quadratic",
@@ -34,7 +34,7 @@ _EXPORTS = {
         "BinaryForm", "TernaryForm", "SymMatrix", "ConicKind", "QuadricKind",
         "Diagonalization", "form_to_matrix", "matrix_to_form", "form_discriminant",
         "char_poly", "inertia", "classify_conic", "classify_quadric", "orthogonal_diagonalize",
-        "diagonal_substitution", "solve_linear_system", "rational_nullspace",
+        "diagonal_substitution", "rational_nullspace",
     ),
     "construct": (
         "Num", "Add", "Sub", "Mul", "Div", "Sqrt", "ConstructibleExpr", "ConstructibilityVerdict",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 from . import _EXPORTS, _Record
 from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, _coeff_float, rational_roots
@@ -62,7 +61,7 @@ class Sqrt(_Record):
     operand: "ConstructibleExpr"
 
 
-ConstructibleExpr = Union[Num, Add, Sub, Mul, Div, Sqrt]
+ConstructibleExpr = Num | Add | Sub | Mul | Div | Sqrt
 
 
 def eval_constructible(expr: ConstructibleExpr) -> tuple[float, int]:

@@ -24,17 +24,18 @@ routes agree exactly.
 
 Everything is exact over the rationals, and every elimination is by
 fraction-free (Bareiss) steps over the integers, whose divisions are all
-exact.  There are two kernels.  The general one serves `determinant` and the
-linear solves and null spaces of `forms`: each row is cleared of denominators
-and rows are swapped to find pivots.  The symmetric one serves the Hankel
-route and `forms.inertia`: it updates only the upper triangle, and it finds
-pivots by congruences, which keep the symmetry, determinant and inertia.
+exact.  There are two kernels.  The general one serves `determinant` and
+`solve_linear_system` here and the null spaces of `forms`: each row is
+cleared of denominators and rows are swapped to find pivots.  The symmetric
+one serves the Hankel route and `forms.inertia`: it updates only the upper
+triangle, and it finds pivots by congruences, which keep the symmetry,
+determinant and inertia.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from . import _EXPORTS
 from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, _resultant_z
@@ -155,6 +156,20 @@ def determinant(m: SquareMatrix | Sequence[Sequence[RationalLike]]) -> Fraction:
     if len(pivots) < m.n:
         return Fraction(0)
     return Fraction(a[-1][-1], scale)
+
+
+def solve_linear_system(
+    rows: Sequence[Sequence[RationalLike]], rhs: Sequence[RationalLike]
+) -> list[Fraction]:
+    """Solve A x = b exactly over Q; raises ValueError if A is singular."""
+    n = len(rows)
+    a = [[_as_fraction(v) for v in row] + [_as_fraction(r)] for row, r in zip(rows, rhs)]
+    if any(len(row) != n + 1 for row in a) or len(a) != n:
+        raise ValueError("system must be square")
+    a, pivots, _ = _eliminate(a, jordan=True)
+    if pivots != list(range(n)):
+        raise ValueError("singular linear system")
+    return [Fraction(a[i][n], a[i][i]) for i in range(n)]
 
 
 def _symmetric_pivots(rows: Sequence[Sequence[int]], extra: int) -> list[int]:

@@ -21,14 +21,14 @@ run over Z.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
 from . import _EXPORTS
 
 Rational = Fraction
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 __all__ = list(_EXPORTS["exact"])
 

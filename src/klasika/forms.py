@@ -27,44 +27,51 @@ Conventions worth pinning down once:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 from . import _EXPORTS, _Record
 from .disc import SquareMatrix, _eliminate, _symmetric_pivots
 from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, _coeff_float
 from .exact import _rational_split
 from .roots import _newton, solve_cubic_cardano, solve_quadratic
-# Not called here; perfbench's layer tracer wraps this binding by name.
-from .disc import determinant  # noqa: F401
+# Not called here.  perfbench's layer tracer wraps these bindings by name, and
+# tests/test_acceptance.py imports determinant from this module.
+from .disc import determinant, solve_linear_system  # noqa: F401
 
 __all__ = list(_EXPORTS["forms"])
 
 
-class BinaryForm(_Record):
+class _Form(_Record):
+    """Base of the two form records: fields are coefficients over Q."""
+
+    def __post_init__(self):
+        for name in self._fields:
+            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(*(x + y for x, y in zip(self._values(), other._values())))
+
+    def scale(self, k: RationalLike):
+        k = _as_fraction(k)
+        return type(self)(*(k * v for v in self._values()))
+
+
+class BinaryForm(_Form):
     """a*x^2 + b*x*y + c*y^2 over Q."""
 
     a: Fraction
     b: Fraction
     c: Fraction
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
-
     def __call__(self, x, y):
         return self.a * x * x + self.b * x * y + self.c * y * y
 
-    def __add__(self, other: "BinaryForm") -> "BinaryForm":
-        return BinaryForm(self.a + other.a, self.b + other.b, self.c + other.c)
 
-    def scale(self, k: RationalLike) -> "BinaryForm":
-        k = _as_fraction(k)
-        return BinaryForm(k * self.a, k * self.b, k * self.c)
-
-
-class TernaryForm(_Record):
+class TernaryForm(_Form):
     """a*x^2 + b*y^2 + c*z^2 + 2d*xy + 2e*xz + 2f*yz over Q.
 
     Note the stored cross coefficients are the halved ones (the matrix
@@ -77,10 +84,6 @@ class TernaryForm(_Record):
     d: Fraction
     e: Fraction
     f: Fraction
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d", "e", "f"):
-            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
 
     @classmethod
     def from_equation_coefficients(cls, a, b, c, dd, ee, ff) -> "TernaryForm":
@@ -96,20 +99,6 @@ class TernaryForm(_Record):
             + 2 * self.e * x * z
             + 2 * self.f * y * z
         )
-
-    def __add__(self, other: "TernaryForm") -> "TernaryForm":
-        return TernaryForm(
-            self.a + other.a,
-            self.b + other.b,
-            self.c + other.c,
-            self.d + other.d,
-            self.e + other.e,
-            self.f + other.f,
-        )
-
-    def scale(self, k: RationalLike) -> "TernaryForm":
-        k = _as_fraction(k)
-        return TernaryForm(k * self.a, k * self.b, k * self.c, k * self.d, k * self.e, k * self.f)
 
     @property
     def is_zero(self) -> bool:
@@ -325,21 +314,9 @@ def _degeneracy_note(sig: tuple[int, int, int]) -> str | None:
     )
 
 
-# -- exact elimination (the fraction-free kernel in disc) and its float side -----
-
-
-def solve_linear_system(
-    rows: Sequence[Sequence[RationalLike]], rhs: Sequence[RationalLike]
-) -> list[Fraction]:
-    """Solve A x = b exactly over Q; raises ValueError if A is singular."""
-    n = len(rows)
-    a = [[_as_fraction(v) for v in row] + [_as_fraction(r)] for row, r in zip(rows, rhs)]
-    if any(len(row) != n + 1 for row in a) or len(a) != n:
-        raise ValueError("system must be square")
-    a, pivots, _ = _eliminate(a, jordan=True)
-    if pivots != list(range(n)):
-        raise ValueError("singular linear system")
-    return [Fraction(a[i][n], a[i][i]) for i in range(n)]
+# -- exact and float null spaces ---------------------------------------------------
+# rational_nullspace runs disc's general kernel but stays beside its caller here:
+# perfbench names a span after the defining module, and reads forms.rational_nullspace.
 
 
 def rational_nullspace(rows: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:

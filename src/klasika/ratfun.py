@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 from . import _EXPORTS, _Record
 from .exact import Polynomial, _clear_denominators, _join_terms, _poly_terms, _rational_split
 from .exact import _taylor_coeffs, _terms
 # Not called here; perfbench's layer tracer wraps these bindings by name.
+from .disc import solve_linear_system  # noqa: F401
 from .exact import rational_roots  # noqa: F401
-from .forms import solve_linear_system  # noqa: F401
 
 __all__ = list(_EXPORTS["ratfun"])
 
@@ -246,7 +245,7 @@ class ArctanTerm(_Record):
         return float(self.coeff) / s * math.atan((x + float(self.shift)) / s)
 
 
-Term = Union[PolyTerm, LogAbs, PowerTerm, LogQuadratic, ArctanTerm]
+Term = PolyTerm | LogAbs | PowerTerm | LogQuadratic | ArctanTerm
 
 
 def _fmt_linear(root: Fraction) -> str:

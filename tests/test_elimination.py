@@ -10,9 +10,9 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from klasika.disc import determinant, sylvester_matrix
+from klasika.disc import determinant, solve_linear_system, sylvester_matrix
 from klasika.exact import Polynomial
-from klasika.forms import rational_nullspace, solve_linear_system
+from klasika.forms import rational_nullspace
 
 from conftest import rand_coeffs, rand_fraction
 

@@ -14,14 +14,14 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 PUBLIC_NAMES = [
     "Polynomial", "Rational", "poly_gcd", "rational_roots",
-    "SquareMatrix", "determinant", "sylvester_matrix", "resultant", "power_sums",
-    "discriminant_resultant", "discriminant_hankel", "has_repeated_roots",
+    "SquareMatrix", "determinant", "solve_linear_system", "sylvester_matrix", "resultant",
+    "power_sums", "discriminant_resultant", "discriminant_hankel", "has_repeated_roots",
     "DepressedPolynomial", "CubicRoots", "depress", "solve_quadratic", "solve_cubic_cardano",
     "roots_of_unity", "residual_tolerance",
     "BinaryForm", "TernaryForm", "SymMatrix", "ConicKind", "QuadricKind",
     "Diagonalization", "form_to_matrix", "matrix_to_form", "form_discriminant",
     "char_poly", "inertia", "classify_conic", "classify_quadric", "orthogonal_diagonalize",
-    "diagonal_substitution", "solve_linear_system", "rational_nullspace",
+    "diagonal_substitution", "rational_nullspace",
     "Num", "Add", "Sub", "Mul", "Div", "Sqrt", "ConstructibleExpr", "ConstructibilityVerdict",
     "parse_constructible", "eval_constructible", "is_fermat_prime", "ngon_constructible",
     "trisectable", "cube_scaling", "cube_doubling", "circle_squaring",
@@ -32,7 +32,7 @@ PUBLIC_NAMES = [
 ]
 
 # Names whose objects report another module: Rational is Fraction, and
-# ConstructibleExpr is a typing.Union alias.
+# ConstructibleExpr is a PEP 604 union (types.UnionType).
 _HOMES = {"Rational": "klasika.exact", "ConstructibleExpr": "klasika.construct"}
 
 
@@ -111,13 +111,13 @@ def test_star_import_loads_neither_dataclasses_nor_inspect():
     assert _fresh(f"from klasika import *; {_HEAVY}").strip() == "[]"
 
 
-# Which layers each subcommand loads.  `roots` binds `disc`, and `ratfun`
-# binds `forms` (hence `roots` and `disc`), for the benchmark's tracer.
+# Which layers each subcommand loads.  `roots` and `ratfun` each bind a
+# `disc` function that they do not call, for the benchmark's tracer.
 _CONSTRUCT = {"exact", "construct"}
 _DISC = {"exact", "disc"}
 _ROOTS = _DISC | {"roots"}
 _FORMS = _ROOTS | {"forms"}
-_RATFUN = _FORMS | {"ratfun"}
+_RATFUN = _DISC | {"ratfun"}
 
 SUBCOMMAND_LAYERS = [
     (["disc", "2,-3,1"], _DISC),
@@ -139,10 +139,17 @@ SUBCOMMAND_LAYERS = [
 ]
 
 
+# Run under -I -S, as on a clean install: no site hook preloads a module, so
+# `typing` (about 4 ms there) is loaded only if klasika imports it.
 @pytest.mark.parametrize("argv, layers", SUBCOMMAND_LAYERS, ids=[argv[0] for argv, _ in SUBCOMMAND_LAYERS])
 def test_each_subcommand_loads_exactly_its_layers(argv, layers):
-    out = _fresh(f"from klasika.cli import run; print(run({argv!r}).status); {_LOADED}; {_HEAVY}")
-    status, loaded, heavy = out.splitlines()
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); from klasika.cli import run; "
+            f"print(run({argv!r}).status); {_LOADED}; "
+            "print([m for m in ('typing', 'dataclasses', 'inspect') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    status, loaded, heavy = done.stdout.splitlines()
     assert status == "ok"
     assert set(json.loads(loaded)) == layers | {"cli"}
     assert heavy == "[]"
+

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klasika.disc import SquareMatrix, determinant
+from klasika.disc import SquareMatrix, determinant, solve_linear_system
 from klasika.exact import Polynomial
 from klasika import forms
 from klasika.forms import (
@@ -27,7 +27,6 @@ from klasika.forms import (
     matrix_to_form,
     orthogonal_diagonalize,
     rational_nullspace,
-    solve_linear_system,
 )
 
 from conftest import rand_fraction
@@ -86,6 +85,23 @@ def test_matrix_form_roundtrip(rng):
         assert matrix_to_form(form_to_matrix(f)) == f
     t = TernaryForm(1, 2, 3, Fraction(1, 2), -1, Fraction(5, 3))
     assert matrix_to_form(form_to_matrix(t)) == t
+
+
+def test_form_sum_and_scale_act_on_the_matrix():
+    f, g = BinaryForm(1, "1/2", -3), BinaryForm(Fraction(2, 3), 4, 0)
+    t, u = TernaryForm(1, 2, 3, Fraction(1, 2), -1, 0), TernaryForm(0, 1, "-1/3", 2, 2, 5)
+    for x, y in ((f, g), (t, u)):
+        mx, my = form_to_matrix(x).rows, form_to_matrix(y).rows
+        assert form_to_matrix(x + y).rows == tuple(
+            tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(mx, my)
+        )
+        assert form_to_matrix(x.scale("-2/5")).rows == tuple(
+            tuple(Fraction(-2, 5) * a for a in row) for row in mx
+        )
+    # forms of different arity do not add: TypeError, not an AttributeError
+    for x, y in ((t, f), (f, t), (f, 1)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            x + y
 
 
 def test_form_discriminant_examples():

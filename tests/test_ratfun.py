@@ -8,7 +8,6 @@ import sympy
 from scipy.integrate import quad
 
 from klasika.exact import Polynomial, rational_roots
-from klasika.forms import solve_linear_system
 from klasika.ratfun import (
     ArctanTerm,
     ConicParam,
@@ -133,6 +132,23 @@ def test_partial_fractions_recombination_identity(rng):
 # -- partial fractions: differential oracles ---------------------------------------------
 
 
+def gauss_jordan(rows, rhs):
+    """The solution of a nonsingular square system, by Gauss-Jordan over
+    Fractions: the oracle shares no elimination code with klasika."""
+    n = len(rows)
+    a = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if a[i][col])
+        a[col], a[pivot] = a[pivot], a[col]
+        p = a[col][col]
+        top = a[col] = [v / p for v in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], top)]
+    return [row[n] for row in a]
+
+
 def coefficient_matching(p, q):
     """The classical decomposition, kept as an oracle: one unknown per term,
     its column the cofactor q/(x-r)^k, x*q/Q or q/Q, and one dense solve."""
@@ -151,7 +167,7 @@ def coefficient_matching(p, q):
         cofactor = monic_q // Polynomial([qq, pp, 1])
         cols += [cofactor * Polynomial([0, 1]), cofactor]
     n = monic_q.degree
-    solution = solve_linear_system([[col[i] for col in cols] for i in range(n)], [rem[i] for i in range(n)])
+    solution = gauss_jordan([[col[i] for col in cols] for i in range(n)], [rem[i] for i in range(n)])
     linear = tuple((a, root, power) for a, (root, power) in zip(solution, labels) if a != 0)
     rest = solution[len(labels):]
     quadratic = tuple(
