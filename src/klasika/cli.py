@@ -100,12 +100,13 @@ def _parse_fraction_list(text: str, count: int, what: str) -> list[Fraction]:
 
 def _parse_float(text: str, what: str) -> float:
     try:
-        value = float(_fraction_from_text(text.strip()))
-    except (ValueError, ZeroDivisionError, OverflowError):
+        value = _fraction_from_text(text.strip())
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"malformed number for {what}: {text!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {text!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"magnitude of {what} exceeds the double-precision range: {text!r}") from None
 
 
 def _parse_int(text: str, what: str) -> int:

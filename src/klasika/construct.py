@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from . import _EXPORTS, _Record
-from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, _coeff_float, rational_roots
+from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, _coeff_float, _divide, rational_roots
 
 __all__ = list(_EXPORTS["construct"])
 
@@ -312,7 +312,9 @@ def trisectable(cos3a: RationalLike) -> ConstructibilityVerdict:
     details = {"cos_3a": str(cos3a)}
 
     def split(cubic: Polynomial, r: Fraction) -> str:
-        details["quadratic_cofactor"] = (cubic // Polynomial([-r, 1])).to_text()
+        # cubic = (s*x - u) * q over Z for r = u/s, so cubic // (x - r) is s * q
+        q = _divide([c.numerator for c in cubic.coeffs], [-r.numerator, r.denominator])
+        details["quadratic_cofactor"] = Polynomial([r.denominator * c for c in q]).to_text()
         return f"{cubic} has rational root {r}; cos(a) has degree <= 2 over Q"
 
     return _cubic_verdict([-cos3a, -3, 0, 4], details, split)

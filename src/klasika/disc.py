@@ -27,7 +27,8 @@ fraction-free (Bareiss) steps over the integers, whose divisions are all
 exact.  There are two kernels.  The general one serves `determinant` and
 `solve_linear_system` here and the null spaces of `forms`: each row is
 cleared of denominators and rows are swapped to find pivots.  The symmetric
-one serves the Hankel route and `forms.inertia`: it updates only the upper
+one serves the Hankel route and `forms._inertia`, the integer core that
+`forms.inertia` and both form classifiers share: it updates only the upper
 triangle, and it finds pivots by congruences, which keep the symmetry,
 determinant and inertia.
 """

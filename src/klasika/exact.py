@@ -39,7 +39,14 @@ _MAX_EXPONENT = 4300
 
 def _fraction_from_text(text: str) -> Fraction:
     """``Fraction(text)``, refusing a decimal exponent whose magnitude exceeds
-    4300 before Fraction expands ``1e<k>`` to 10**k, which takes seconds."""
+    4300 before Fraction expands ``1e<k>`` to 10**k, which takes seconds.
+
+    ASCII ``-?digits`` and ``-?digits/digits`` skip Fraction's regex; every
+    other text takes the general route, with the same values and errors."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+        return Fraction(int(num), int(den or 1))
     _, e, exponent = text.lower().rpartition("e")
     if e:
         digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
@@ -267,11 +274,14 @@ class Polynomial:
         return Polynomial([c / lead for c in self.coeffs])
 
     def taylor_shift(self, h: RationalLike) -> "Polynomial":
-        """Return f(x + h), exactly."""
+        """Return f(x + h), exactly: the integer kernel `_taylor_coeffs` runs
+        over Z on d * f, d the least common denominator of f's coefficients."""
         h = _as_fraction(h)
-        if h == 0:
+        if h == 0 or not self.coeffs:
             return self
-        return Polynomial(_taylor_shift(self.coeffs, h))
+        d, ints = _clear_denominators(self.coeffs)
+        n, s = len(ints) - 1, h.denominator
+        return Polynomial([Fraction(t, d * s ** (n - i)) for i, t in enumerate(_taylor_coeffs(ints, h, n, n + 1))])
 
     def norm_1(self) -> float:
         """Float 1-norm of the coefficients (inf if out of double range)."""

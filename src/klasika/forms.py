@@ -14,11 +14,12 @@ Conventions worth pinning down once:
   orthogonal C, even though older texts blur the names.)
 * Inertia (counts of positive/negative/zero eigenvalues) is computed EXACTLY
   from the pivot signs of the Hankel discriminant route's symmetric
-  elimination by congruences (Sylvester's law of inertia).  `inertia` is the
-  one signature routine: a quadric's kind is read from the inertia of its
-  matrix, a conic's from the inertias of its quadratic part Q and its
-  bordered 3x3 matrix B, so no classification ever hinges on a
-  floating-point sign.
+  elimination by congruences (Sylvester's law of inertia).  `_inertia`, on
+  integer rows, is the one signature routine; `inertia` clears a matrix's
+  denominators into it, and both classifiers feed it their coefficients
+  cleared over Z: a quadric's kind is read from the inertia of its matrix, a
+  conic's from the inertias of its quadratic part Q and its bordered 3x3
+  matrix B, so no classification ever hinges on a floating-point sign.
 * `orthogonal_diagonalize` returns eigenvector COLUMNS in S with
   A = S diag(D) S^t; texts that write A = S^t D S are using the transposed
   convention, which for orthogonal S is the same factorization read backwards.
@@ -212,9 +213,14 @@ def inertia(m: SquareMatrix) -> tuple[int, int, int]:
         raise ValueError("inertia requires a symmetric matrix")
     n = m.n
     flat = _clear_denominators(v for row in m.rows for v in row)[1]
-    pivots = _symmetric_pivots([flat[i * n : (i + 1) * n] for i in range(n)], 1)
+    return _inertia([flat[i * n : (i + 1) * n] for i in range(n)])
+
+
+def _inertia(rows: list[list[int]]) -> tuple[int, int, int]:
+    """`inertia` of the symmetric integer matrix with these rows."""
+    pivots = _symmetric_pivots(rows, 1)
     n_minus = sum(p * q < 0 for p, q in zip([1, *pivots], pivots))
-    return (len(pivots) - n_minus, n_minus, n - len(pivots))
+    return (len(pivots) - n_minus, n_minus, len(rows) - len(pivots))
 
 
 # -- conic classification --------------------------------------------------------
@@ -261,8 +267,10 @@ def _classify_conic(a, b, c, d, e, lam) -> tuple[ConicKind, tuple[int, int, int]
     a, b, c, d, e, lam = (_as_fraction(v) for v in (a, b, c, d, e, lam))
     if a == 0 and b == 0 and c == 0:
         raise ValueError("not a conic: the quadratic part is zero")
-    sig_q = inertia(SymMatrix([[a, b / 2], [b / 2, c]]))
-    sig_b = inertia(SymMatrix([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, -lam]]))
+    # 2kQ and 2kB over Z, for k > 0 the least common denominator, have Q's and B's inertias
+    ka, kb, kc, kd, ke, kl = _clear_denominators((a, b, c, d, e, lam))[1]
+    sig_q = _inertia([[2 * ka, kb], [kb, 2 * kc]])
+    sig_b = _inertia([[2 * ka, kb, kd], [kb, 2 * kc, ke], [kd, ke, -2 * kl]])
     key = (sig_q, sig_b)
     if sig_q[0] < sig_q[1]:  # negating the equation swaps both sign counts
         key = tuple((p, m, z) for m, p, z in key)
@@ -293,7 +301,8 @@ def _classify_quadric(form: TernaryForm) -> tuple[QuadricKind, tuple[int, int, i
     """The surface kind together with the inertia it was read from."""
     if form.is_zero:
         raise ValueError("cannot classify the zero form")
-    sig = inertia(form_to_matrix(form))
+    a, b, c, d, e, f = _clear_denominators(form._values())[1]
+    sig = _inertia([[a, d, e], [d, b, f], [e, f, c]])
     return _QUADRIC_TABLE.get(sig, QuadricKind.OTHER), sig
 
 
@@ -404,11 +413,11 @@ def orthogonal_diagonalize(m: SquareMatrix) -> Diagonalization:
     split = _rational_split(p)
     pairs: list[tuple[float, list[float]]] = []  # (eigenvalue, unit eigenvector)
 
+    d, flat = _clear_denominators(v for row in m.rows for v in row)
     rational = sorted((lam, mult) for mult, (rats, _) in enumerate(split, 1) for lam in rats)
     for lam, mult in rational:
-        shifted = [
-            [m.rows[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)
-        ]
+        u, s = lam.numerator * d, lam.denominator  # s * d * (M - lam*I) has the same null space
+        shifted = [[s * flat[i * n + j] - (u if i == j else 0) for j in range(n)] for i in range(n)]
         basis = rational_nullspace(shifted)
         assert len(basis) == mult
         floats = _orthonormalize([[_coeff_float(x) for x in vec] for vec in basis])

@@ -605,6 +605,17 @@ def test_float_range_is_named(argv):
         }
 
 
+@pytest.mark.parametrize("argv", [["ellipse", "area", "1e400", "1"], ["param", "circle", "1e400", "1e400", "0"]])
+def test_out_of_range_parameter_is_named(argv):
+    # a well-formed number beyond the double range is not "malformed"
+    for mode in ([], ["--json"]):
+        result = run(mode + argv)
+        assert result.exit_code == 1
+        assert result.payload == {
+            "error": "magnitude of a exceeds the double-precision range: '1e400'", "kind": "domain",
+        }
+
+
 def test_diagonalize_tolerance_is_relative_to_the_norm():
     # residual 3e-16 relative to |M| = 2e300: inside README's 1e-6*(1 + |M|)
     entries = ",".join(["1e300"] * 6)

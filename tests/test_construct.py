@@ -158,6 +158,16 @@ def test_trisect_right_angle():
     assert abs(cofactor(math.sqrt(3) / 2)) < 1e-12
 
 
+def test_trisect_cofactor_reproduces_the_cubic():
+    # cos(3a) = 4r^3 - 3r for a rational r in [-1, 1]: the root found need not be r
+    for r in (Fraction(p, q) for q in range(1, 8) for p in range(-q, q + 1)):
+        verdict = trisectable(4 * r**3 - 3 * r)
+        witness = Polynomial.from_text(verdict.details["witness_cubic"])
+        root = Fraction(verdict.details["rational_root"])
+        cofactor = Polynomial.from_text(verdict.details["quadratic_cofactor"])
+        assert cofactor * Polynomial([-root, 1]) == witness, r
+
+
 def test_trisect_domain():
     with pytest.raises(ValueError):
         trisectable(Fraction(3, 2))

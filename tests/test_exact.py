@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from klasika.exact import Polynomial, poly_gcd, rational_roots
+from klasika.exact import Polynomial, _fraction_from_text, poly_gcd, rational_roots
 
 from conftest import convolve, expand_roots, rand_coeffs, rand_fraction
 
@@ -113,14 +115,46 @@ def test_divmod_roundtrip(rng):
 
 
 def test_taylor_shift_matches_composition_oracle(rng):
-    for _ in range(100):
-        coeffs = rand_coeffs(rng, rng.randint(0, 8))
-        h = rand_fraction(rng)
+    cases = [(rand_coeffs(rng, rng.randint(0, 8)), rand_fraction(rng)) for _ in range(100)]
+    cases += [(rand_coeffs(rng, rng.randint(0, 8)), rng.randint(-9, 9)) for _ in range(40)]  # integer h, 0 included
+    cases += [([], Fraction(3, 2)), ([], 0), ([Fraction(-7, 3)], Fraction(5, 4)), ([Fraction(4)], -3),
+              (rand_coeffs(rng, 5), Fraction(0))]
+    for coeffs, h in cases:
         expected = [Fraction(0)]
         for c in reversed(coeffs):  # Horner on plain lists: acc * (x + h) + c
             expected = convolve(expected, [h, Fraction(1)])
             expected[0] += c
-        assert Polynomial(coeffs).taylor_shift(h) == Polynomial(expected)
+        shifted = Polynomial(coeffs).taylor_shift(h)
+        assert shifted == Polynomial(expected)
+        assert all(type(c) is Fraction for c in shifted.coeffs)
+
+
+# Texts at the edge of _fraction_from_text's plain-integer and p/q fast path.
+EDGE_TEXTS = ["+3", "--3", " 4 ", "1_0", "\u0663", "\u00b2", "007/003", "3/-2", "1/0", "-0", "/2", "3/", "-", "",
+              "1e3", "0.5", "-12/18", "-/4", "3/4/5", "-0/7", "0/0", "\u22123", "1" * 4301, "2/" + "3" * 4301]
+
+
+def same_as_fraction_parser(text):
+    """_fraction_from_text(text) equals Fraction(text), the parser that every
+    text off the fast path reaches, or raises the same exception type."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            _fraction_from_text(text)
+    else:
+        got = _fraction_from_text(text)
+        assert type(got) is Fraction and got == expected, text
+
+
+def test_text_fast_path_equals_fraction_on_the_edge():
+    for text in EDGE_TEXTS:
+        same_as_fraction_parser(text)
+
+
+@given(st.text(alphabet="0123456789-+/ _.\u0663\u00b2", max_size=8))
+def test_text_fast_path_equals_fraction(text):
+    same_as_fraction_parser(text)
 
 
 def test_rational_roots_paper_cases():

@@ -519,6 +519,49 @@ def test_classify_quadric_cross_terms_against_numpy():
     assert classify_quadric(form) == QuadricKind.HYPERBOLOID_ONE_SHEET
 
 
+def rand_rank_deficient(rng, n):
+    """Symmetric n x n Fractions sum k1 * u u^t + k2 * v v^t (rank <= 2), with
+    a zero row when u and v share a zero entry."""
+    vecs = [[rand_fraction(rng, -6, 6, 12) if rng.random() < 0.8 else Fraction(0) for _ in range(n)] for _ in range(2)]
+    ks = [rand_fraction(rng, -6, 6, 12) for _ in range(2)]
+    return [[sum(k * v[i] * v[j] for k, v in zip(ks, vecs)) for j in range(n)] for i in range(n)]
+
+
+def test_classifiers_match_inertia_of_the_halved_matrices(rng):
+    # the classifiers run their own integer route; the public inertia of the
+    # matrices with halved cross terms is the oracle
+    conics = []
+    for _ in range(150):
+        coeffs = [rand_fraction(rng, -9, 9, 12) if rng.random() < 0.75 else Fraction(0) for _ in range(6)]
+        if rng.random() < 0.3:  # a zero row and column of B
+            coeffs[0] = coeffs[1] = coeffs[3] = Fraction(0)
+        conics.append(coeffs)
+    for _ in range(60):  # B of rank <= 2
+        (a, h, dd), (_, c, ee), (_, _, f) = rand_rank_deficient(rng, 3)
+        conics.append([a, 2 * h, c, 2 * dd, 2 * ee, -f])
+    for a, b, c, d, e, lam in conics:
+        if a == b == c == 0:
+            continue
+        sig_q = inertia(SymMatrix([[a, b / 2], [b / 2, c]]))
+        sig_b = inertia(SymMatrix([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, -lam]]))
+        key = (sig_q, sig_b) if sig_q[0] >= sig_q[1] else tuple((m, p, z) for p, m, z in (sig_q, sig_b))
+        kind = forms._CONIC_TABLE[key]
+        if kind is ConicKind.ELLIPSE and a == c and b == 0:
+            kind = ConicKind.CIRCLE
+        assert forms._classify_conic(a, b, c, d, e, lam) == (kind, sig_q), (a, b, c, d, e, lam)
+
+    quadrics = [[rand_fraction(rng, -9, 9, 12) if rng.random() < 0.75 else Fraction(0) for _ in range(6)]
+                for _ in range(150)]
+    for m in (rand_rank_deficient(rng, 3) for _ in range(60)):
+        quadrics.append([m[0][0], m[1][1], m[2][2], m[0][1], m[0][2], m[1][2]])
+    for fields in quadrics:
+        form = TernaryForm(*fields)
+        if form.is_zero:
+            continue
+        sig = inertia(form_to_matrix(form))
+        assert forms._classify_quadric(form) == (forms._QUADRIC_TABLE.get(sig, QuadricKind.OTHER), sig), fields
+
+
 def test_quadric_degeneracy_note():
     assert forms._degeneracy_note(inertia(form_to_matrix(TernaryForm(1, 1, 1, 0, 0, 0)))) is None
     degenerate = TernaryForm.from_equation_coefficients(1, 1, 1, 2, 2, 2)
