@@ -24,12 +24,12 @@ routes agree exactly.
 
 Everything is exact over the rationals, and every elimination is by
 fraction-free (Bareiss) steps over the integers, whose divisions are all
-exact.  There are two kernels.  The general one serves `determinant` and
-`solve_linear_system` here and the null spaces of `forms`: each row is
-cleared of denominators and rows are swapped to find pivots.  The symmetric
-one serves the Hankel route and `forms._inertia`, the integer core that
-`forms.inertia` and both form classifiers share: it updates only the upper
-triangle, and it finds pivots by congruences, which keep the symmetry,
+exact.  There are two kernels.  The general one, `_eliminate`, is a forward
+pass with row swaps: `determinant` reads its last pivot, and `_null_vector`
+back-substitutes the null vectors of `solve_linear_system` and `forms`.  The
+symmetric one serves the Hankel route and `forms._inertia`, the integer core
+that `forms.inertia` and both form classifiers share: it updates only the
+upper triangle, and it finds pivots by congruences, which keep the symmetry,
 determinant and inertia.
 """
 
@@ -96,20 +96,16 @@ class SquareMatrix:
         )
 
 
-def _eliminate(
-    rows: Sequence[Sequence[Fraction | int]], jordan: bool
-) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free (Bareiss) elimination of rational rows over Z.
+def _eliminate(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int], int]:
+    """Forward fraction-free (Bareiss) elimination of rational rows over Z.
 
     This is the general kernel; the Hankel route's symmetric matrices go to
     `_symmetric_pivots` instead.  Each row is first scaled to integers
     by its least common denominator.  Every entry produced afterwards is a
     minor of that integer matrix, so each division by the previous pivot is
-    exact.  With ``jordan`` the entries above each pivot are cleared too
-    (fraction-free Gauss-Jordan), so every pivot row is zero in every other
-    pivot column, and columns without a pivot are skipped.  Without it the
-    elimination stops at the first column without a pivot, where the
-    determinant is 0.
+    exact.  Only the rows below each pivot are cleared, and a column without
+    a pivot is skipped, so the result is a row echelon form whose rows past
+    the last pivot are zero; `_null_vector` reads null vectors from it.
 
     Returns the eliminated rows, the pivot column of each leading row, and
     the factor by which the row scalings and swaps multiplied the
@@ -129,31 +125,39 @@ def _eliminate(
             break
         pivot_row = next((i for i in range(r, len(a)) if a[i][col]), None)
         if pivot_row is None:
-            if not jordan:
-                break
             continue
         if pivot_row != r:
             a[r], a[pivot_row] = a[pivot_row], a[r]
             scale = -scale
         top = a[r]
         p = top[col]
-        for i in range(len(a)) if jordan else range(r + 1, len(a)):
-            if i == r:
-                continue
+        for i in range(r + 1, len(a)):
             row = a[i]
             f = row[col]
-            lo = col if i > r else 0  # rows below are already zero left of col
-            a[i] = row[:lo] + [(p * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
+            a[i] = row[:col] + [(p * x - f * y) // prev for x, y in zip(row[col:], top[col:])]
         pivots.append(col)
         prev = p
     return a, pivots, scale
+
+
+def _null_vector(a: list[list[int]], pivots: list[int], free: int) -> list[Fraction]:
+    """Null vector of `_eliminate`'s rows that is 1 in column ``free`` and 0 in
+    the other columns without a pivot, as a reduced echelon form gives it.  It
+    is y / D over Z for D the last pivot, the minor on the pivot rows and
+    columns, so by Cramer's rule each division is exact."""
+    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    y = [0] * len(a[0])
+    y[free] = d
+    for row, pcol in zip(reversed(a[: len(pivots)]), reversed(pivots)):
+        y[pcol] = -sum(x * v for x, v in zip(row[pcol + 1 :], y[pcol + 1 :])) // row[pcol]
+    return [Fraction(v, d) for v in y]
 
 
 def determinant(m: SquareMatrix | Sequence[Sequence[RationalLike]]) -> Fraction:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if not isinstance(m, SquareMatrix):
         m = SquareMatrix(m)
-    a, pivots, scale = _eliminate(m.rows, jordan=False)
+    a, pivots, scale = _eliminate(m.rows)
     if len(pivots) < m.n:
         return Fraction(0)
     return Fraction(a[-1][-1], scale)
@@ -162,15 +166,16 @@ def determinant(m: SquareMatrix | Sequence[Sequence[RationalLike]]) -> Fraction:
 def solve_linear_system(
     rows: Sequence[Sequence[RationalLike]], rhs: Sequence[RationalLike]
 ) -> list[Fraction]:
-    """Solve A x = b exactly over Q; raises ValueError if A is singular."""
+    """Solve A x = b exactly over Q, as the null vector of [A | -b] that is 1
+    in the last column; raises ValueError if A is singular."""
     n = len(rows)
-    a = [[_as_fraction(v) for v in row] + [_as_fraction(r)] for row, r in zip(rows, rhs)]
+    a = [[_as_fraction(v) for v in row] + [-_as_fraction(r)] for row, r in zip(rows, rhs)]
     if any(len(row) != n + 1 for row in a) or len(a) != n:
         raise ValueError("system must be square")
-    a, pivots, _ = _eliminate(a, jordan=True)
+    a, pivots, _ = _eliminate(a)
     if pivots != list(range(n)):
         raise ValueError("singular linear system")
-    return [Fraction(a[i][n], a[i][i]) for i in range(n)]
+    return _null_vector(a, pivots, n)[:n]
 
 
 def _symmetric_pivots(rows: Sequence[Sequence[int]], extra: int) -> list[int]:

@@ -33,7 +33,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import _EXPORTS, _Record
-from .disc import SquareMatrix, _eliminate, _symmetric_pivots
+from .disc import SquareMatrix, _eliminate, _null_vector, _symmetric_pivots
 from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, _coeff_float
 from .exact import _rational_split
 from .roots import _newton, solve_cubic_cardano, solve_quadratic
@@ -329,20 +329,12 @@ def _degeneracy_note(sig: tuple[int, int, int]) -> str | None:
 
 
 def rational_nullspace(rows: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
-    """Basis of the exact null space of a (possibly rectangular) matrix."""
-    a = [[_as_fraction(v) for v in row] for row in rows]
-    if not a:
+    """Basis of the exact null space of a (possibly rectangular) matrix, one
+    vector per column without a pivot (see `disc._null_vector`)."""
+    if not rows:
         return []
-    ncols = len(a[0])
-    a, pivots, _ = _eliminate(a, jordan=True)
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pcol in zip(a, pivots):
-            vec[pcol] = Fraction(-row[free], row[pcol])
-        basis.append(vec)
-    return basis
+    a, pivots, _ = _eliminate([[_as_fraction(v) for v in row] for row in rows])
+    return [_null_vector(a, pivots, free) for free in range(len(a[0])) if free not in pivots]
 
 
 def _norm(v: Sequence[float]) -> float:
@@ -397,7 +389,8 @@ def orthogonal_diagonalize(m: SquareMatrix) -> Diagonalization:
     Rational eigenvalues (these include every repeated eigenvalue of a
     rational symmetric matrix) get exact null-space bases; irrational ones
     are necessarily simple, are polished by Newton on the characteristic
-    polynomial, and get their eigenvector from floating-point elimination.
+    polynomial, and take the largest cross product of two rows of
+    M - lambda*I as eigenvector (`_float_null_vector`).
     Columns are ordered by ascending eigenvalue.  Some eigenvalue has
     |lambda| >= max |m_ij|, so an entry beyond the double range is refused
     before any exact work: no float answer could hold that eigenvalue.

@@ -343,7 +343,8 @@ def test_wrong_argument_count_prints_the_usage_line(command):
 
 
 GOLDEN_JSON = {
-    # one exact --json object per subcommand, plus a usage and a domain error
+    # one exact --json object per subcommand, plus a second diagonalize, a usage
+    # and a domain error
     ("disc", "2,-3,1"): (
         '{"agree": true, "command": "disc", "discriminant_hankel": "1", "discriminant_resultant": "1", '
         '"polynomial": "2,-3,1", "schema": 1, "status": "ok", "zero": false}'
@@ -375,6 +376,13 @@ GOLDEN_JSON = {
         '"schema": 1, "status": "ok", "substitution": [[0.0, 0.0, 1.0], '
         '[0.7071067811865476, -0.7071067811865476, 0.0], [0.7071067811865476, 0.7071067811865476, 0.0]], '
         '"within_tolerance": true}'
+    ),
+    # eigenvalues 1, 1 and 7: exact null spaces of a rank-1 and a rank-2 shifted matrix
+    ("diagonalize", "2,2,5,2,4,4"): (
+        '{"command": "diagonalize", "diagonal_form": [1.0, 1.0, 7.0], "residual": 8.881784197001252e-16, '
+        '"schema": 1, "status": "ok", "substitution": [[0.7071067811865476, -0.7071067811865476, 0.0], '
+        '[0.5773502691896258, 0.5773502691896257, -0.5773502691896258], '
+        '[0.4082482904638631, 0.4082482904638631, 0.8164965809277261]], "within_tolerance": true}'
     ),
     ("ngon", "9"): (
         '{"command": "ngon", "constructible": false, "constructible_text": "no", '

@@ -1,7 +1,8 @@
 """The fraction-free elimination behind `determinant`, `solve_linear_system`
 and `rational_nullspace`, checked against sympy as an independent exact
 oracle.  Null-space bases are compared as exact vectors: both sides take the
-reduced-echelon basis with one free variable set to 1 per vector.
+reduced-echelon basis with one free variable set to 1 per vector, which the
+library back-substitutes from a forward echelon form.
 """
 
 from fractions import Fraction
@@ -27,14 +28,17 @@ def to_fraction(v) -> Fraction:
 
 
 def assert_matches_sympy(rows, rhs=None):
+    given = rows  # int rows stay ints, as orthogonal_diagonalize passes them
     rows = [[Fraction(v) for v in row] for row in rows]
     m = to_sympy(rows)
     expected = [[to_fraction(x) for x in vec] for vec in m.nullspace()]
     assert rational_nullspace(rows) == expected
+    assert rational_nullspace(given) == expected
     if m.rows != m.cols:
         return
     det = to_fraction(m.det())
     assert determinant(rows) == det
+    assert determinant(given) == det
     rhs = [Fraction(v) for v in rhs or range(1, len(rows) + 1)]
     if det == 0:
         with pytest.raises(ValueError, match="singular"):
@@ -54,6 +58,8 @@ def assert_matches_sympy(rows, rhs=None):
         [[0, 0, 0], [1, 2, 3], [4, 5, 6]],  # zero row
         [[0, 1, 2], [0, 3, 4], [0, 5, 7]],  # zero column
         [[1, 0, 2], [3, 0, 4], [5, 0, 7]],  # zero middle column
+        [[1, 2, 3], [2, 4, 5], [3, 6, 7]],  # square, no pivot in the middle column
+        [[1, 2, 2, 3], [2, 4, 4, 7]],  # two middle columns without a pivot
         [[0, 1, 2], [3, 4, 5], [6, 7, 9]],  # zero first pivot: row swap
         [[0, 0, 1], [0, 1, 0], [1, 0, 0]],  # two swaps
         [[0, 0, 0], [0, 0, 0]],  # zero matrix

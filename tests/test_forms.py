@@ -646,6 +646,47 @@ def test_diagonalize_random_invariants(rng):
         assert counts == sig
 
 
+def quaternion_rotation(q):
+    """The rational rotation of the nonzero integer quaternion q = (a, b, c, d)."""
+    a, b, c, d = q
+    n = a * a + b * b + c * c + d * d
+    rows = [
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+    ]
+    return [[Fraction(v, n) for v in row] for row in rows]
+
+
+def test_diagonalize_planted_rational_spectra(rng):
+    """M = R diag(lam) R^t with R rational and orthogonal: every eigenvalue is
+    rational, so each eigenspace, of dimension 1, 2 or 3, comes from the exact
+    null space of M - lam*I."""
+    for trial in range(600):
+        q = (0, 0, 0, 0)
+        while q == (0, 0, 0, 0):
+            q = tuple(rng.randint(-3, 3) for _ in range(4))
+        r = SquareMatrix(quaternion_rotation(q))
+        assert r @ r.transpose() == SquareMatrix.identity(3)
+        lams = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)]
+        if trial % 5 == 0:
+            lams = [lams[0]] * 3
+        elif trial % 5 < 3:
+            lams[trial % 5] = lams[0]
+        diag = SquareMatrix([[lam if i == j else 0 for j, lam in enumerate(lams)] for i in range(3)])
+        m = r @ diag @ r.transpose()
+        dg = orthogonal_diagonalize(SymMatrix(m.rows))
+        assert dg.D == tuple(sorted(float(lam) for lam in lams)), (q, lams)
+        assert ortho_error(dg.S) < 1e-12, (q, lams)
+        mf = [[float(v) for v in row] for row in m.rows]
+        eig_error = max(
+            abs(sum(mf[i][k] * dg.S[k][j] for k in range(3)) - dg.S[i][j] * dg.D[j])
+            for i in range(3)
+            for j in range(3)
+        )
+        assert eig_error < 1e-12, (q, lams)
+
+
 def test_diagonal_substitution_identity_for_diagonal_form():
     sub, diag = diagonal_substitution(TernaryForm(1, 2, 3, 0, 0, 0))
     assert diag == (1.0, 2.0, 3.0)
