@@ -19,7 +19,9 @@ upper bound 2^(number of sqrt nodes) for the degree of their value over Q.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import groupby
 
 from . import _EXPORTS, _Record
 from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, _coeff_float, _divide, rational_roots
@@ -63,6 +65,15 @@ class Sqrt(_Record):
 
 ConstructibleExpr = Num | Add | Sub | Mul | Div | Sqrt
 
+# The binary operators by precedence level, loosest first, each with its tree
+# node and float operation; the tokenizer, parser and evaluator read them here.
+_BINARY = (
+    {"+": (Add, operator.add), "-": (Sub, operator.sub)},
+    {"*": (Mul, operator.mul), "/": (Div, operator.truediv)},
+)
+_FLOAT_OPS = {node: apply for level in _BINARY for node, apply in level.values()}
+_SYMBOLS = "()" + "".join(op for level in _BINARY for op in level)
+
 
 def eval_constructible(expr: ConstructibleExpr) -> tuple[float, int]:
     """Numeric value plus the tower bound 2^(number of sqrt nodes).
@@ -78,20 +89,14 @@ def eval_constructible(expr: ConstructibleExpr) -> tuple[float, int]:
         if val < 0:
             raise ValueError(f"square root of a negative value: {val!r}")
         return math.sqrt(val), 2 * bound
+    apply = _FLOAT_OPS.get(type(expr))
+    if apply is None:
+        raise TypeError(f"not a constructible expression node: {expr!r}")
     lv, lb = eval_constructible(expr.left)
     rv, rb = eval_constructible(expr.right)
-    bound = lb * rb
-    if isinstance(expr, Add):
-        return lv + rv, bound
-    if isinstance(expr, Sub):
-        return lv - rv, bound
-    if isinstance(expr, Mul):
-        return lv * rv, bound
-    if isinstance(expr, Div):
-        if rv == 0.0:
-            raise ValueError("division by zero in constructible expression")
-        return lv / rv, bound
-    raise TypeError(f"not a constructible expression node: {expr!r}")
+    if rv == 0.0 and isinstance(expr, Div):
+        raise ValueError("division by zero in constructible expression")
+    return apply(lv, rv), lb * rb
 
 
 _MAX_PARSE_DEPTH = 100
@@ -102,95 +107,69 @@ def parse_constructible(text: str) -> ConstructibleExpr:
     tokens = _tokenize(text)
     pos = 0
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
+    def take(expected=None, error=None):
+        """The next token, consumed if it is in `expected` (any token if that
+        is None); otherwise ValueError(error), or None if no error is given."""
         nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
+        tok = tokens[pos] if pos < len(tokens) else None
+        if tok is not None and (expected is None or tok in expected):
+            pos += 1
+            return tok
+        if error:
+            raise ValueError(error)
 
-    def parse_expr(depth):
+    def parse_binary(depth, level=0):
+        """A left-associative chain of the operators at `level` of _BINARY
+        over operands of the next level; past the last level, an atom."""
+        if level == len(_BINARY):
+            return parse_atom(depth)
         if depth > _MAX_PARSE_DEPTH:
             raise ValueError("expression is nested too deeply")
-        node = parse_term(depth)
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term(depth)
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+        node = parse_binary(depth, level + 1)
+        while op := take(_BINARY[level]):
+            node = _BINARY[level][op][0](node, parse_binary(depth, level + 1))
         return node
-
-    def parse_term(depth):
-        node = parse_unary(depth)
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_unary(depth)
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
-
-    def parse_unary(depth):
-        if peek() == "-":
-            take()
-            return Sub(Num(0), parse_unary(depth + 1))
-        if peek() == "+":
-            take()
-            return parse_unary(depth + 1)
-        return parse_atom(depth)
 
     def parse_atom(depth):
-        tok = take()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
+        tok = take(None, "unexpected end of expression")
+        if tok == "-":
+            return Sub(Num(0), parse_atom(depth + 1))
+        if tok == "+":
+            return parse_atom(depth + 1)
         if tok == "(":
-            node = parse_expr(depth + 1)
-            if take() != ")":
-                raise ValueError("missing closing parenthesis")
+            node = parse_binary(depth + 1)
+            take(")", "missing closing parenthesis")
             return node
         if tok == "sqrt":
-            if take() != "(":
-                raise ValueError("sqrt must be followed by a parenthesized operand")
-            node = parse_expr(depth + 1)
-            if take() != ")":
-                raise ValueError("missing closing parenthesis after sqrt operand")
+            take("(", "sqrt must be followed by a parenthesized operand")
+            node = parse_binary(depth + 1)
+            take(")", "missing closing parenthesis after sqrt operand")
             return Sqrt(node)
-        if tok.isdecimal():
+        if tok.isdecimal():  # Fraction(int(tok)) would use less stack, moving the sign-chain depth limit
             return Num(Fraction(tok))
         raise ValueError(f"unexpected token {tok!r}")
 
-    node = parse_expr(0)
+    node = parse_binary(0)
     if pos != len(tokens):
         raise ValueError(f"unexpected token {tokens[pos]!r}")
     return node
 
 
 def _tokenize(text: str) -> list[str]:
+    """Runs of digits, runs of letters and single symbols; space separates."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            word = text[i:j]
-            if word != "sqrt":
+    for key, run in groupby(text, lambda ch: "digits" if ch.isdecimal() else "letters" if ch.isalpha() else ch):
+        if key == "digits" or key == "letters":
+            word = "".join(run)
+            if key == "letters" and word != "sqrt":
                 raise ValueError(f"unexpected token {word!r}")
+            if len(word) > 4300:  # the longest digit string int() converts by default
+                raise ValueError("a number has more than 4300 digits")
             tokens.append(word)
-            i = j
-        else:
-            raise ValueError(f"unexpected character {ch!r}")
+        elif key in _SYMBOLS:
+            tokens.extend(run)
+        elif not key.isspace():
+            raise ValueError(f"unexpected character {key!r}")
     if len(tokens) > 2000:
         raise ValueError("expression too long")
     return tokens

@@ -1,7 +1,10 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klasika.construct import (
     Add,
@@ -94,6 +97,108 @@ def test_field_closure_random(rng):
             val, bound = eval_constructible(Div(e1, e2))
             assert val == pytest.approx(v1 / v2, rel=1e-12)
             assert bound <= b1 * b2
+
+
+def test_eval_refuses_a_non_node():
+    with pytest.raises(TypeError, match="not a constructible expression node"):
+        eval_constructible("1")
+
+
+def test_number_literal_digit_limit():
+    # int() converts at most 4300 digits by default; past that the tokenizer refuses
+    # the literal in its own words, as it refuses an overlong expression
+    too_long = "cannot parse expression: a number has more than 4300 digits"
+    for mode in ([], ["--json"]):
+        for text in ("9" * 4301, "1+" + "0" * 4300 + "1"):
+            result = run(mode + ["construct-eval", text])
+            assert result.exit_code == 2
+            assert result.payload == {"error": too_long, "kind": "usage"}
+        # up to the limit a literal parses, and one past the double range is a domain error
+        for digits in (310, 4300):
+            result = run(mode + ["construct-eval", "9" * digits])
+            assert result.exit_code == 1
+            assert result.payload == {"error": "coefficient magnitude exceeds the double-precision range", "kind": "domain"}
+    assert parse_constructible("0" * 4299 + "7") == Num(7)
+
+
+# -- generated expressions ---------------------------------------------------------
+
+_SYMBOL = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_LEVEL = {Add: 0, Sub: 0, Mul: 1, Div: 1}  # 2 is an atom: a number, sqrt(...), (...) or a signed atom
+
+_trees = st.recursive(
+    st.sampled_from([*range(30), 10**20, 10**200, 10**400]).map(Num),
+    lambda children: st.one_of(
+        st.tuples(st.sampled_from(list(_SYMBOL)), children, children).map(lambda t: t[0](t[1], t[2])),
+        children.map(Sqrt),
+        children.map(lambda e: Sub(Num(0), e)),  # unary minus
+    ),
+    max_leaves=12,
+)
+
+
+def _tokens(expr, rnd, level=0):
+    """Tokens of a text that parses to `expr` where an operand of binding at
+    least `level` is expected, with redundant parentheses, unary pluses and
+    leading zeros thrown in."""
+    if isinstance(expr, Num):
+        out, own = ["0" * rnd.choice((0, 0, 0, 1, 2)) + str(expr.value)], 2
+    elif isinstance(expr, Sqrt):
+        out, own = ["sqrt", "(", *_tokens(expr.operand, rnd), ")"], 2
+    elif isinstance(expr, Sub) and expr.left == Num(0) and rnd.random() < 0.6:
+        out, own = ["-", *_tokens(expr.right, rnd, 2)], 2
+    else:
+        own = _LEVEL[type(expr)]
+        out = [*_tokens(expr.left, rnd, own), _SYMBOL[type(expr)], *_tokens(expr.right, rnd, own + 1)]
+    if own < level or rnd.random() < 0.1:
+        out = ["(", *out, ")"]
+    return ["+", *out] if rnd.random() < 0.05 else out
+
+
+def _join(tokens, rnd):
+    return "".join(rnd.choice(("", "", " ", "\t")) + tok for tok in tokens) + rnd.choice(("", " "))
+
+
+_PARSER_ERRORS = re.compile(
+    "cannot parse expression: (unexpected end of expression|missing closing parenthesis( after sqrt operand)?"
+    "|sqrt must be followed by a parenthesized operand|unexpected (token|character) '.+')"
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_trees, st.randoms(use_true_random=False))
+def test_generated_expressions_round_trip_and_evaluate(expr, rnd):
+    text = _join(_tokens(expr, rnd), rnd)
+    assert parse_constructible(text) == expr
+    result = run(["--json", "construct-eval", text])
+    try:
+        value, bound = eval_constructible(expr)
+        if not math.isfinite(value):
+            raise ValueError(f"the result {value} is not a finite number")
+    except ValueError as exc:
+        assert (result.exit_code, result.payload) == (1, {"error": str(exc), "kind": "domain"})
+    else:
+        assert result.exit_code == 0
+        assert (result.payload["value"], result.payload["degree_bound"]) == (value, bound)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_trees, st.randoms(use_true_random=False), st.sampled_from(["paren", "last", "stray"]))
+def test_mutated_expressions_are_refused_by_the_parser(expr, rnd, mutation):
+    # a well-formed text has balanced parentheses and ends in a number or ")", and no
+    # stray character belongs to the language: each mutation below is malformed
+    tokens = _tokens(expr, rnd)
+    if mutation == "stray":
+        text = _join(tokens, rnd)
+        at = rnd.randint(0, len(text))
+        text = text[:at] + rnd.choice("x.^,=[²") + text[at:]
+    else:
+        parens = [i for i, tok in enumerate(tokens) if tok in ("(", ")")]
+        del tokens[rnd.choice(parens) if mutation == "paren" and parens else -1]
+        text = _join(tokens, rnd)
+    result = run(["--json", "construct-eval", text])
+    assert result.exit_code == 2 and result.payload["kind"] == "usage"
+    assert _PARSER_ERRORS.fullmatch(result.payload["error"]), result.payload["error"]
 
 
 def test_fermat_primes():
