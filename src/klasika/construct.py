@@ -80,23 +80,34 @@ def eval_constructible(expr: ConstructibleExpr) -> tuple[float, int]:
 
     Every square root adds at most one quadratic extension, so the product
     of the operand bounds (equivalently, two to the total sqrt count) bounds
-    the degree of the value over Q.
+    the degree of the value over Q.  The tree is walked depth first, left
+    to right, with an explicit stack, so its depth is bounded by the parser's
+    limits and not by the interpreter's recursion limit.
     """
-    if isinstance(expr, Num):
-        return _coeff_float(expr.value), 1
-    if isinstance(expr, Sqrt):
-        val, bound = eval_constructible(expr.operand)
-        if val < 0:
-            raise ValueError(f"square root of a negative value: {val!r}")
-        return math.sqrt(val), 2 * bound
-    apply = _FLOAT_OPS.get(type(expr))
-    if apply is None:
-        raise TypeError(f"not a constructible expression node: {expr!r}")
-    lv, lb = eval_constructible(expr.left)
-    rv, rb = eval_constructible(expr.right)
-    if rv == 0.0 and isinstance(expr, Div):
-        raise ValueError("division by zero in constructible expression")
-    return apply(lv, rv), lb * rb
+    todo, done = [(expr, False)], []  # (node, children done); (value, bound) per finished subtree
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, Num):
+            done.append((_coeff_float(node.value), 1))
+        elif not ready:
+            if isinstance(node, Sqrt):
+                todo += [(node, True), (node.operand, False)]
+            elif type(node) in _FLOAT_OPS:
+                todo += [(node, True), (node.right, False), (node.left, False)]
+            else:
+                raise TypeError(f"not a constructible expression node: {node!r}")
+        elif isinstance(node, Sqrt):
+            val, bound = done.pop()
+            if val < 0:
+                raise ValueError(f"square root of a negative value: {val!r}")
+            done.append((math.sqrt(val), 2 * bound))
+        else:
+            rv, rb = done.pop()
+            lv, lb = done.pop()
+            if rv == 0.0 and isinstance(node, Div):
+                raise ValueError("division by zero in constructible expression")
+            done.append((_FLOAT_OPS[type(node)](lv, rv), lb * rb))
+    return done[0]
 
 
 _MAX_PARSE_DEPTH = 100
@@ -131,23 +142,26 @@ def parse_constructible(text: str) -> ConstructibleExpr:
         return node
 
     def parse_atom(depth):
-        tok = take(None, "unexpected end of expression")
-        if tok == "-":
-            return Sub(Num(0), parse_atom(depth + 1))
-        if tok == "+":
-            return parse_atom(depth + 1)
+        """An atom after a run of unary signs, each "-" taken as 0 - (what
+        follows); every sign counts one level of nesting."""
+        signs = []
+        while (tok := take(None, "unexpected end of expression")) in ("-", "+"):
+            signs.append(tok)
+        depth += len(signs)
         if tok == "(":
             node = parse_binary(depth + 1)
             take(")", "missing closing parenthesis")
-            return node
-        if tok == "sqrt":
+        elif tok == "sqrt":
             take("(", "sqrt must be followed by a parenthesized operand")
-            node = parse_binary(depth + 1)
+            node = Sqrt(parse_binary(depth + 1))
             take(")", "missing closing parenthesis after sqrt operand")
-            return Sqrt(node)
-        if tok.isdecimal():  # Fraction(int(tok)) would use less stack, moving the sign-chain depth limit
-            return Num(Fraction(tok))
-        raise ValueError(f"unexpected token {tok!r}")
+        elif tok.isdecimal():
+            node = Num(Fraction(int(tok)))
+        else:
+            raise ValueError(f"unexpected token {tok!r}")
+        for _ in range(signs.count("-")):
+            node = Sub(Num(0), node)
+        return node
 
     node = parse_binary(0)
     if pos != len(tokens):

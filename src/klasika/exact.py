@@ -417,9 +417,12 @@ def _resultant_z(f: list[int], g: list[int]) -> int:
 
 
 def _squarefree(f: list[int]) -> list[list[int]]:
-    """Primitive squarefree A_1, A_2, ..., A_m (some of them constant) with
-    f = c * prod A_i**i, by Musser's repeated-gcd form of the squarefree
-    split; every division is exact."""
+    """Squarefree A_1, A_2, ..., A_m (some of them constant) with
+    f = c * prod A_i**i.  A line, or a quadratic or cubic whose discriminant
+    is nonzero, is its own only piece; any other f takes Musser's
+    repeated-gcd form of the split, in which every division is exact."""
+    if len(f) == 2 or 3 <= len(f) <= 4 and _discriminant_small(f):
+        return [f]
     g = _gcd_z(f, [i * c for i, c in enumerate(f)][1:])  # prod A_i**(i-1)
     w, pieces = _divide(f, g), []
     while len(w) > 1:  # w = prod A_j over j >= i
@@ -429,16 +432,49 @@ def _squarefree(f: list[int]) -> list[list[int]]:
     return pieces
 
 
+def _discriminant_small(f: list[int]) -> int:
+    """The discriminant of the quadratic or cubic f over Z."""
+    if len(f) == 3:
+        c, b, a = f
+        return b * b - 4 * a * c
+    d, c, b, a = f
+    return b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+
+
+def _small_split(piece: list[int]) -> tuple[list[Fraction], list[int]]:
+    """(roots, rest) for a squarefree piece of degree <= 2 over Z: its
+    rational roots, -c0/c1 or (-b +- s)/2a when b^2 - 4ac is a square s^2,
+    and the piece with each divided out once (by q*x - p for a root p/q)."""
+    if len(piece) == 2:
+        r = Fraction(-piece[0], piece[1])
+        return [r], [piece[1] // r.denominator]
+    if len(piece) == 3:
+        c, b, a = piece
+        disc = _discriminant_small(piece)
+        if disc > 0 and (s := math.isqrt(disc)) ** 2 == disc:
+            lo, hi = sorted((Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)))
+            return [lo, hi], [a // (lo.denominator * hi.denominator)]
+    return [], piece
+
+
 def _rational_split(f: Polynomial) -> list[tuple[list[Fraction], list[int]]]:
     """(roots_i, rest_i) for each squarefree piece A_i of f (f nonzero): the
     rational roots of A_i, each of multiplicity i in f, and A_i with each of
-    them divided out once."""
+    them divided out once.
+
+    A piece of degree <= 2, from the start or once the positive search has
+    divided out its roots, is solved in closed form (`_small_split`); any
+    other goes through the positive search and then the reflected one."""
     split = []
     for piece in _squarefree(_clear_denominators(f.coeffs)[1]):
         roots = []
         if piece[0] == 0:  # x divides at most one squarefree piece, once
             roots, piece = [Fraction(0)], piece[1:]
         for sign in (1, -1):  # the positive roots of the piece, then of its reflection
+            if len(piece) <= 3:
+                small, piece = _small_split(piece)
+                roots += small
+                break
             for r in _positive_root_candidates([c * sign**i for i, c in enumerate(piece)]):
                 if (quotient := _divide(piece, [-sign * r.numerator, r.denominator])) is not None:
                     roots.append(sign * r)
@@ -553,7 +589,8 @@ def rational_roots(f: Polynomial) -> list[Fraction]:
     leading and constant coefficients.  Exact Descartes bisection narrows
     each real root until its interval holds at most one point of Z/an or of
     a0/Z, the one candidate there; one exact division over Z checks it.
-    No integer is factored.
+    A piece of degree <= 2 is solved in closed form instead, by an integer
+    square root of its discriminant.  No integer is factored.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every number as a root")

@@ -324,8 +324,9 @@ def _degeneracy_note(sig: tuple[int, int, int]) -> str | None:
 
 
 # -- exact and float null spaces ---------------------------------------------------
-# rational_nullspace runs disc's general kernel but stays beside its caller here:
-# perfbench names a span after the defining module, and reads forms.rational_nullspace.
+# rational_nullspace runs disc's general kernel.  No code here calls it: it is
+# the tests' reference for `_eigenbasis`, and it stays in this module because
+# perfbench names a span after the defining module and reads forms.rational_nullspace.
 
 
 def rational_nullspace(rows: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
@@ -335,6 +336,39 @@ def rational_nullspace(rows: Sequence[Sequence[RationalLike]]) -> list[list[Frac
         return []
     a, pivots, _ = _eliminate([[_as_fraction(v) for v in row] for row in rows])
     return [_null_vector(a, pivots, free) for free in range(len(a[0])) if free not in pivots]
+
+
+def _cross_rows(a: list[list]) -> list[list]:
+    """For a 2x2 or 3x3 matrix (ints or floats), the candidate null vectors
+    of rank n - 1: each row turned by a right angle, or the cross product of
+    each pair of rows, in row order."""
+    if len(a) == 2:
+        return [[-row[1], row[0]] for row in a]
+    return [
+        [r[1] * s[2] - r[2] * s[1], r[2] * s[0] - r[0] * s[2], r[0] * s[1] - r[1] * s[0]]
+        for r, s in ((a[0], a[1]), (a[0], a[2]), (a[1], a[2]))
+    ]
+
+
+def _eigenbasis(a: list[list[int]], mult: int) -> list[list[Fraction]]:
+    """The basis `rational_nullspace` gives for the symmetric 2x2 or 3x3
+    integer matrix a of rank n - mult (the reduced-echelon one), in closed form.
+
+    Rank n - 1: the first nonzero candidate of `_cross_rows` over its last
+    nonzero entry, whose column is the one without a pivot.  Rank 1 (n = 3):
+    with r the first nonzero row and p its first nonzero column,
+    e_f - (r_f / r_p) e_p for each f != p.  Rank 0: the identity.
+    """
+    n = len(a)
+    if mult == n:
+        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    if mult == 1:
+        v = next(c for c in _cross_rows(a) if any(c))
+        last = next(x for x in reversed(v) if x)
+        return [[Fraction(x, last) for x in v]]
+    r = next(row for row in a if any(row))
+    p = next(j for j, x in enumerate(r) if x)
+    return [[Fraction(-r[f], r[p]) if j == p else Fraction(int(j == f)) for j in range(n)] for f in range(n) if f != p]
 
 
 def _norm(v: Sequence[float]) -> float:
@@ -363,19 +397,7 @@ def _canonical_sign(v: list[float]) -> list[float]:
 
 def _float_null_vector(a: list[list[float]]) -> list[float]:
     """Unit null vector of a numerically rank-deficient 2x2 or 3x3 matrix."""
-    n = len(a)
-    if n == 2:
-        candidates = [[-a[0][1], a[0][0]], [-a[1][1], a[1][0]]]
-    else:
-        def cross(r, s):
-            return [
-                r[1] * s[2] - r[2] * s[1],
-                r[2] * s[0] - r[0] * s[2],
-                r[0] * s[1] - r[1] * s[0],
-            ]
-
-        candidates = [cross(a[0], a[1]), cross(a[0], a[2]), cross(a[1], a[2])]
-    best = max(candidates, key=_norm)
+    best = max(_cross_rows(a), key=_norm)
     nrm = _norm(best)
     if nrm == 0.0:
         raise ArithmeticError("could not isolate a one-dimensional null space")
@@ -387,10 +409,13 @@ def orthogonal_diagonalize(m: SquareMatrix) -> Diagonalization:
     from null spaces of M - lambda*I, orthonormalized per eigenspace.
 
     Rational eigenvalues (these include every repeated eigenvalue of a
-    rational symmetric matrix) get exact null-space bases; irrational ones
+    rational symmetric matrix) get exact null-space bases in closed form
+    (`_eigenbasis`, on the integer rows of M - lambda*I scaled over Z; the
+    eigenvalue's multiplicity is its eigenspace's dimension); irrational ones
     are necessarily simple, are polished by Newton on the characteristic
     polynomial, and take the largest cross product of two rows of
-    M - lambda*I as eigenvector (`_float_null_vector`).
+    M - lambda*I as eigenvector (`_float_null_vector`).  Both read their
+    candidates from `_cross_rows`.
     Columns are ordered by ascending eigenvalue.  Some eigenvalue has
     |lambda| >= max |m_ij|, so an entry beyond the double range is refused
     before any exact work: no float answer could hold that eigenvalue.
@@ -411,9 +436,7 @@ def orthogonal_diagonalize(m: SquareMatrix) -> Diagonalization:
     for lam, mult in rational:
         u, s = lam.numerator * d, lam.denominator  # s * d * (M - lam*I) has the same null space
         shifted = [[s * flat[i * n + j] - (u if i == j else 0) for j in range(n)] for i in range(n)]
-        basis = rational_nullspace(shifted)
-        assert len(basis) == mult
-        floats = _orthonormalize([[_coeff_float(x) for x in vec] for vec in basis])
+        floats = _orthonormalize([[_coeff_float(x) for x in vec] for vec in _eigenbasis(shifted, mult)])
         pairs.extend((_coeff_float(lam), vec) for vec in floats)
 
     # The irrational eigenvalues are simple, and a rational linear factor's

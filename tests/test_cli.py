@@ -220,6 +220,16 @@ def test_non_monic_cubic_with_huge_coefficients_is_refused_fast():
     assert result.human_text == f"error: residual quadratic x^2 - 3/{10**1000} has irrational real roots"
 
 
+def test_quadratic_with_a_huge_constant_is_refused_fast():
+    # x^2 - 10^4299: a quadratic piece is solved by an integer square root of its
+    # discriminant, with no bisection tree
+    t0 = time.perf_counter()
+    result = run(["partfrac", "1", "/", "-1e4299,0,1"])
+    assert time.perf_counter() - t0 < 0.5
+    assert result.exit_code == 1
+    assert result.human_text == f"error: residual quadratic x^2 - {10**4299} has irrational real roots"
+
+
 def test_root_with_huge_an_and_small_a0_is_fast():
     # (3x - 1)(10^4000 x^2 + 1): Z/an is dense, a0/Z is what isolates 1/3
     t0 = time.perf_counter()

@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +123,28 @@ def test_number_literal_digit_limit():
             assert result.exit_code == 1
             assert result.payload == {"error": "coefficient magnitude exceeds the double-precision range", "kind": "domain"}
     assert parse_constructible("0" * 4299 + "7") == Num(7)
+
+
+def test_long_sign_chains_answer_the_same_in_process_and_cold():
+    # the parser reads a run of unary signs in a loop and the evaluator walks the
+    # tree with an explicit stack, so up to the 2000-token cap the answer depends
+    # on the text only, not on how deep the interpreter's stack already is
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cases = {"-" * 1999 + "1": -1.0, "+" * 1999 + "1": 1.0, "1" + "-1" * 999: -998.0, "-(" * 50 + "1" + ")" * 50: 1.0}
+    for text, value in cases.items():
+        for mode in (["--json"], []):
+            argv = [*mode, "construct-eval", text]
+            result = run(argv)
+            assert result.exit_code == 0 and result.payload["value"] == value
+            cold = subprocess.run(
+                [sys.executable, "-m", "klasika.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+            )
+            assert (cold.returncode, cold.stdout) == (0, (result.human_text or result.to_json()) + "\n")
+    assert parse_constructible("--+-7") == Sub(Num(0), Sub(Num(0), Sub(Num(0), Num(7))))
+    # each sign still counts one level toward the nesting limit of a parenthesis after it
+    for text, error in (("-" * 2000 + "1", "expression too long"), ("-" * 100 + "(1)", "expression is nested too deeply")):
+        assert run(["--json", "construct-eval", text]).payload == {"error": f"cannot parse expression: {error}", "kind": "usage"}
 
 
 # -- generated expressions ---------------------------------------------------------

@@ -587,6 +587,25 @@ def test_rational_nullspace():
     assert rational_nullspace([[1, 0], [0, 1]]) == []
 
 
+def test_closed_form_eigenbasis_equals_rational_nullspace():
+    """`orthogonal_diagonalize` reads each rational eigenvalue's basis from
+    closed forms on the integer rows of M - lambda*I; they must give exactly
+    the reduced-echelon basis of `rational_nullspace`.  Every singular
+    symmetric 2x2 and 3x3 integer matrix with entries in [-2, 2] is checked."""
+    seen = set()
+    for n in (2, 3):
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        for values in itertools.product(range(-2, 3), repeat=len(upper)):
+            rows = [[0] * n for _ in range(n)]
+            for (i, j), v in zip(upper, values):
+                rows[i][j] = rows[j][i] = v
+            expected = rational_nullspace(rows)
+            if expected:
+                assert forms._eigenbasis(rows, len(expected)) == expected, rows
+                seen.add((n, len(expected)))
+    assert seen == {(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)}
+
+
 # -- orthogonal diagonalization ------------------------------------------------------------
 
 

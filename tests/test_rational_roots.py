@@ -16,6 +16,7 @@ to 3, dyadic roots that land on bisection midpoints, zero roots, sparse
 terms, Mignotte-type root clusters, and wide coefficients, at degrees up to 24.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -248,6 +249,29 @@ def test_random_dense_polynomials(degree):
     rng = random.Random(degree)
     for _ in range(20):
         check(rand_coeffs(rng, degree, -20, 20, 3))
+
+
+def test_every_small_quadratic_and_cubic_against_the_rational_root_theorem():
+    """Degrees 2 and 3 take closed forms: a nonzero discriminant makes f its own
+    squarefree piece, and a piece of degree <= 2 is solved by an integer square
+    root.  Every integer quadratic and cubic with coefficients in [-5, 5] is
+    checked against divisor enumeration, multiplicities included, and the
+    split must rebuild f up to a constant factor.  Among them are square,
+    non-square, negative and zero discriminants (x^2 - 4, x^2 - 2, x^2 + 1,
+    x^2 - 2x + 1) and a triple root (x^3 - 3x^2 + 3x - 1)."""
+    for degree in (2, 3):
+        for lower in itertools.product(range(-5, 6), repeat=degree):
+            for lead in (*range(-5, 0), *range(1, 6)):
+                ints = [*lower, lead]
+                f = Polynomial(ints)
+                assert rational_roots(f) == divisor_enumeration_roots([Fraction(c) for c in ints]), ints
+                rebuilt = [1]
+                for i, (roots, rest) in enumerate(_rational_split(f), 1):
+                    for r in roots:
+                        rest = convolve(rest, [-r.numerator, r.denominator])
+                    for _ in range(i):
+                        rebuilt = convolve(rebuilt, rest)
+                assert [c * rebuilt[-1] for c in ints] == [c * lead for c in rebuilt], ints
 
 
 # -- the squarefree split itself, by planted roots -----------------------------------
