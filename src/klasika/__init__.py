@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "exact": ("Polynomial", "Rational", "poly_gcd", "rational_roots"),
     "disc": (
-        "SquareMatrix", "determinant", "solve_linear_system", "sylvester_matrix", "resultant",
+        "SquareMatrix", "determinant", "solve_linear_system", "resultant",
         "power_sums", "discriminant_resultant", "discriminant_hankel", "has_repeated_roots",
     ),
     "roots": (
@@ -32,7 +32,7 @@ _EXPORTS = {
     ),
     "forms": (
         "BinaryForm", "TernaryForm", "SymMatrix", "ConicKind", "QuadricKind",
-        "Diagonalization", "form_to_matrix", "matrix_to_form", "form_discriminant",
+        "Diagonalization", "form_to_matrix", "form_discriminant",
         "char_poly", "inertia", "classify_conic", "classify_quadric", "orthogonal_diagonalize",
         "diagonal_substitution", "rational_nullspace",
     ),

@@ -169,9 +169,10 @@ def solve_linear_system(
     """Solve A x = b exactly over Q, as the null vector of [A | -b] that is 1
     in the last column; raises ValueError if A is singular."""
     n = len(rows)
+    if not n or len(rhs) != n or any(len(row) != n for row in rows):
+        shape = f"{n} rows of lengths {[len(row) for row in rows]}, {len(rhs)} right-hand sides"
+        raise ValueError(f"system must be square and non-empty: {shape}")
     a = [[_as_fraction(v) for v in row] + [-_as_fraction(r)] for row, r in zip(rows, rhs)]
-    if any(len(row) != n + 1 for row in a) or len(a) != n:
-        raise ValueError("system must be square")
     a, pivots, _ = _eliminate(a)
     if pivots != list(range(n)):
         raise ValueError("singular linear system")
@@ -235,35 +236,15 @@ def _repivot(u: list[list[int]], r: int) -> bool:
     return True
 
 
-def _sylvester_degrees(f: Polynomial, g: Polynomial) -> tuple[int, int]:
-    """(deg f, deg g), for the pairs that have a Sylvester matrix."""
+def resultant(f: Polynomial, g: Polynomial) -> Fraction:
+    """Res(f, g), the determinant of the (deg f + deg g) square Sylvester
+    matrix of f and g, by the subresultant remainder sequence of F = d_f * f
+    and G = d_g * g over Z: Res(f, g) = Res(F, G) / (d_f**deg g * d_g**deg f)."""
     if f.is_zero or g.is_zero:
         raise ValueError("Sylvester matrix requires nonzero polynomials")
-    if f.degree + g.degree == 0:
+    n, m = f.degree, g.degree
+    if n + m == 0:
         raise ValueError("Sylvester matrix requires deg f + deg g >= 1")
-    return f.degree, g.degree
-
-
-def sylvester_matrix(f: Polynomial, g: Polynomial) -> SquareMatrix:
-    """The (deg f + deg g) square Sylvester matrix of f and g."""
-    n, m = _sylvester_degrees(f, g)
-    size = n + m
-    fs = list(reversed(f.coeffs))
-    gs = list(reversed(g.coeffs))
-    rows = []
-    for i in range(m):
-        rows.append([0] * i + fs + [0] * (m - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + gs + [0] * (n - 1 - i))
-    assert all(len(r) == size for r in rows)
-    return SquareMatrix(rows)
-
-
-def resultant(f: Polynomial, g: Polynomial) -> Fraction:
-    """Res(f, g) = det(sylvester_matrix(f, g)), by the subresultant remainder
-    sequence of F = d_f * f and G = d_g * g over Z:
-    Res(f, g) = Res(F, G) / (d_f**deg g * d_g**deg f)."""
-    n, m = _sylvester_degrees(f, g)
     d_f, big_f = _clear_denominators(f.coeffs)
     d_g, big_g = _clear_denominators(g.coeffs)
     return Fraction(_resultant_z(big_f, big_g), d_f**m * d_g**n)

@@ -146,8 +146,8 @@ class Polynomial:
             return self == Polynomial([other])
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
+    def __hash__(self):  # a constant hashes as the number it equals
+        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self[0])
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

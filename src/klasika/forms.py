@@ -51,15 +51,6 @@ class _Form(_Record):
         for name in self._fields:
             object.__setattr__(self, name, _as_fraction(getattr(self, name)))
 
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return type(self)(*(x + y for x, y in zip(self._values(), other._values())))
-
-    def scale(self, k: RationalLike):
-        k = _as_fraction(k)
-        return type(self)(*(k * v for v in self._values()))
-
 
 class BinaryForm(_Form):
     """a*x^2 + b*x*y + c*y^2 over Q."""
@@ -161,17 +152,6 @@ def form_to_matrix(form: BinaryForm | TernaryForm) -> SymMatrix:
             ]
         )
     raise TypeError(f"not a quadratic form: {form!r}")
-
-
-def matrix_to_form(m: SquareMatrix) -> BinaryForm | TernaryForm:
-    if not m.is_symmetric():
-        raise ValueError("matrix is not symmetric")
-    r = m.rows
-    if m.n == 2:
-        return BinaryForm(r[0][0], 2 * r[0][1], r[1][1])
-    if m.n == 3:
-        return TernaryForm(r[0][0], r[1][1], r[2][2], r[0][1], r[0][2], r[1][2])
-    raise ValueError("only 2x2 and 3x3 matrices correspond to supported forms")
 
 
 def form_discriminant(form: BinaryForm) -> Fraction:
@@ -334,6 +314,8 @@ def rational_nullspace(rows: Sequence[Sequence[RationalLike]]) -> list[list[Frac
     vector per column without a pivot (see `disc._null_vector`)."""
     if not rows:
         return []
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"rows must have equal lengths, not {[len(row) for row in rows]}")
     a, pivots, _ = _eliminate([[_as_fraction(v) for v in row] for row in rows])
     return [_null_vector(a, pivots, free) for free in range(len(a[0])) if free not in pivots]
 

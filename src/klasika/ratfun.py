@@ -64,14 +64,6 @@ class RealFactorization(_Record):
     linear_factors: tuple[tuple[Fraction, int], ...]
     quadratic_factors: tuple[tuple[Fraction, Fraction, int], ...]
 
-    def expand(self) -> Polynomial:
-        out = Polynomial([self.constant])
-        for root, mult in self.linear_factors:
-            out = out * Polynomial([-root, 1]) ** mult
-        for p, q, mult in self.quadratic_factors:
-            out = out * Polynomial([q, p, 1]) ** mult
-        return out
-
 
 def factor_real(q: Polynomial) -> RealFactorization:
     """Factor q over Q into linear and irreducible quadratic pieces.
@@ -110,23 +102,6 @@ class PartialFractions(_Record):
     polynomial_part: Polynomial
     linear_terms: tuple[tuple[Fraction, Fraction, int], ...]  # (A, root, power)
     quadratic_terms: tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]  # (B, C, p, q)
-
-    def recombine(self) -> tuple[Polynomial, Polynomial]:
-        """Exact numerator and denominator of the recombined expression."""
-        max_linear: dict[Fraction, int] = {}
-        for _, root, power in self.linear_terms:
-            max_linear[root] = max(max_linear.get(root, 0), power)
-        den = Polynomial([1])
-        for root, power in sorted(max_linear.items()):
-            den = den * Polynomial([-root, 1]) ** power
-        for _, _, p, q in self.quadratic_terms:
-            den = den * Polynomial([q, p, 1])
-        num = self.polynomial_part * den
-        for a, root, power in self.linear_terms:
-            num = num + a * (den // Polynomial([-root, 1]) ** power)
-        for b, c, p, q in self.quadratic_terms:
-            num = num + Polynomial([c, b]) * (den // Polynomial([q, p, 1]))
-        return num, den
 
 
 def partial_fractions(p: Polynomial, q: Polynomial) -> PartialFractions:

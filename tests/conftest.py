@@ -2,7 +2,9 @@
 
 The polynomial helpers here are deliberately independent of the package
 under test: `convolve`/`expand_roots` multiply plain coefficient lists so
-they can serve as oracles for the library's own arithmetic.
+they can serve as oracles for the library's own arithmetic, and
+`expand_factors`/`recombine` build on them to multiply out a real
+factorization and a partial-fraction decomposition.
 """
 
 import random
@@ -49,6 +51,58 @@ def expand_roots(roots: list[Fraction], lead: Fraction = Fraction(1)) -> list[Fr
     for r in roots:
         out = convolve(out, [-r, Fraction(1)])
     return out
+
+
+def expand_factors(lead, linear, quadratic) -> list[Fraction]:
+    """Coefficients of lead * prod (x - r)^k * prod (x^2 + p*x + q)^k, for
+    (r, k) in linear and (p, q, k) in quadratic, by repeated convolution."""
+    out = expand_roots([r for r, k in linear for _ in range(k)], Fraction(lead))
+    for p, q, k in quadratic:
+        for _ in range(k):
+            out = convolve(out, [q, p, Fraction(1)])
+    return out
+
+
+def _add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
+
+
+def _trim(a: list[Fraction]) -> list[Fraction]:
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def recombine(polynomial_part, linear_terms, quadratic_terms) -> tuple[list[Fraction], list[Fraction]]:
+    """Coefficient lists (num, den) of polynomial_part + sum A/(x-r)^k +
+    sum (B*x+C)/(x^2+p*x+q), for (A, r, k) in linear_terms and (B, C, p, q)
+    in quadratic_terms, over den = prod (x-r)^m * prod (x^2+p*x+q), m the
+    largest k at r.  The terms at one root share one cofactor of den:
+    sum A_k/(x-r)^k = (sum A_k (x-r)^(m-k)) / (x-r)^m, whose numerator is
+    taken by Horner's rule in (x - r)."""
+    powers, coeffs = {}, {}
+    for a, r, k in linear_terms:
+        powers[r] = max(powers.get(r, 0), k)
+        coeffs[r, k] = coeffs.get((r, k), 0) + a
+    quadratics = [(p, q, 1) for _, _, p, q in quadratic_terms]
+    den = expand_factors(1, powers.items(), quadratics)
+    num = convolve(list(polynomial_part), den)
+    for r, m in powers.items():
+        local = []
+        for k in range(1, m + 1):
+            local = _add(convolve(local, [-r, Fraction(1)]), [coeffs.get((r, k), Fraction(0))])
+        num = _add(num, convolve(local, expand_factors(1, [(s, j) for s, j in powers.items() if s != r], quadratics)))
+    for i, (b, c, _, _) in enumerate(quadratic_terms):
+        num = _add(num, convolve([c, b], expand_factors(1, powers.items(), quadratics[:i] + quadratics[i + 1:])))
+    return _trim(num), den
+
+
+def same_ratio(num, den, p, q) -> bool:
+    """num/den == p/q, cross-multiplied on coefficient lists."""
+    return _trim(convolve(list(num), list(q))) == _trim(convolve(list(p), list(den)))
 
 
 @pytest.fixture

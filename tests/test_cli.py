@@ -15,9 +15,9 @@ from klasika.exact import Polynomial, poly_gcd, rational_roots
 from klasika.ratfun import factor_real, partial_fractions
 from klasika.roots import residual_tolerance, solve_cubic_cardano
 
-from conftest import convolve, expand_roots
+from conftest import convolve, expand_roots, recombine, same_ratio
 from test_forms import classify_conic_by_schur, numpy_inertia, transform_conic
-from test_ratfun import apart_terms
+from test_ratfun import apart_terms, recombines_to
 
 
 def out(argv):
@@ -174,8 +174,7 @@ def test_degree_64_decomposition_recombines_exactly():
     q = Polynomial.from_text(_cap_denominator())
     assert sorted(m for _, m in factor_real(q).linear_factors) == [2] * 16 + [4] * 8
     pf = partial_fractions(Polynomial([1]), q)
-    num, den = pf.recombine()
-    assert num * q == den  # 1/q, cross-multiplied
+    assert recombines_to(pf, Polynomial([1]), q)
 
 
 def test_degree_64_refusal_is_fast():
@@ -710,6 +709,48 @@ def test_partfrac_and_integrate_on_planted_denominators(pq):
     ] == quadratic
     integral = run(["--json", "integrate", p, "/", q])
     assert integral.status == "ok", integral.payload
+
+
+@st.composite
+def planted_high_degree_rational_functions(draw):
+    """(p, q) as coefficient lists, deg q in 17..64: q = lead * prod (x - r)^m
+    over distinct rational roots, times at most one irreducible quadratic.
+    The drawn multiplicities repeat in turn until the degree is filled."""
+    fractions = st.fractions(-12, 12, max_denominator=8)
+    quadratic = draw(st.none() | st.tuples(fractions, st.fractions(1, 9, max_denominator=5).filter(bool)))
+    budget = draw(st.integers(17, 64)) - 2 * (quadratic is not None)
+    roots = draw(st.lists(fractions, min_size=1, max_size=24, unique=True))
+    mults = draw(st.lists(st.integers(1, 6), min_size=len(roots), max_size=len(roots)))
+    planted = []
+    while len(planted) < budget:
+        for r, m in zip(roots, mults):
+            planted += [r] * min(m, budget - len(planted))
+    q = expand_roots(planted, draw(fractions.filter(bool)))
+    if quadratic is not None:  # x^2 + b*x + b^2/4 + d, d > 0, has no real root
+        b, d = quadratic
+        q = convolve(q, [b * b / 4 + d, b, Fraction(1)])
+    p = draw(st.lists(fractions, max_size=len(q) + 1)) + [draw(fractions.filter(bool))]
+    return p, q
+
+
+@settings(deadline=None, max_examples=25)
+@given(planted_high_degree_rational_functions())
+def test_high_degree_partfrac_json_recombines_to_p_over_q(pq):
+    """Up to the degree cap, partfrac's --json strings, read back with
+    Fraction and multiplied out on plain coefficient lists, give p/q exactly."""
+    p, q = pq
+    t0 = time.perf_counter()
+    result = run(["--json", "partfrac", ",".join(map(str, p)), "/", ",".join(map(str, q))])
+    assert time.perf_counter() - t0 < 1.0  # the ceiling of test_degree_64_decomposition_is_fast
+    assert result.payload.get("kind") != "internal", result.payload
+    assert result.status == "ok", result.payload
+    payload = json.loads(result.to_json())
+    num, den = recombine(
+        [Fraction(c) for c in payload["polynomial_part"].split(",")],
+        [(Fraction(a), Fraction(r), k) for a, r, k in payload["linear_terms"]],
+        [tuple(map(Fraction, t)) for t in payload["quadratic_terms"]],
+    )
+    assert same_ratio(num, den, p, q)
 
 
 # For each `_CONIC_TABLE` row, the signs of c, e and lambda in the canonical

@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from klasika import disc
 from klasika.disc import (
@@ -17,7 +18,6 @@ from klasika.disc import (
     has_repeated_roots,
     power_sums,
     resultant,
-    sylvester_matrix,
 )
 from klasika.exact import Polynomial, poly_gcd
 
@@ -381,6 +381,15 @@ def sympy_resultant(f: Polynomial, g: Polynomial) -> Fraction:
     return as_fraction(sympy.resultant(sympy_poly(f), sympy_poly(g)))
 
 
+def sympy_sylvester(f: Polynomial, g: Polynomial) -> list[list[Fraction]]:
+    """The Sylvester matrix of f and g, built by sympy.  Its determinant has
+    the sign of Res(f, g) for constants and odd degrees too: x - 3 and
+    x^3 + x + 5 give 35, and the swapped pair -35."""
+    x = sympy.Symbol("x")
+    m = sylvester(sympy_poly(f).as_expr(), sympy_poly(g).as_expr(), x)
+    return [[as_fraction(v) for v in row] for row in m.tolist()]
+
+
 def remainder_degrees(f: Polynomial, g: Polynomial) -> list[int]:
     """Degrees of the Euclidean remainder sequence f, g, f mod g, ... over Q."""
     if f.degree < g.degree:
@@ -393,10 +402,11 @@ def remainder_degrees(f: Polynomial, g: Polynomial) -> list[int]:
 
 
 def check_resultant(f: Polynomial, g: Polynomial) -> Fraction:
-    """Res(f, g) against the Sylvester determinant, sympy and the swap sign."""
+    """Res(f, g) against the determinant of sympy's Sylvester matrix, sympy's
+    resultant and the swap sign."""
     res, swapped = resultant(f, g), resultant(g, f)
-    assert res == determinant(sylvester_matrix(f, g))
-    assert swapped == determinant(sylvester_matrix(g, f))
+    assert res == determinant(sympy_sylvester(f, g))
+    assert swapped == determinant(sympy_sylvester(g, f))
     assert swapped == (-1) ** (f.degree * g.degree) * res
     if f.degree >= g.degree:
         assert res == sympy_resultant(f, g)
@@ -474,12 +484,18 @@ def test_discriminant_resultant_matches_res_f_fprime_and_sympy():
         assert expected == 0 or seed % 5
 
 
+def test_resultant_sign_at_odd_degrees():
+    f, g = Polynomial([-3, 1]), Polynomial([5, 1, 0, 1])  # x - 3 and x^3 + x + 5
+    assert check_resultant(f, g) == 35 == g(3)
+    assert resultant(g, f) == -35
+
+
 def test_resultant_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires nonzero polynomials"):
         resultant(Polynomial(), Polynomial([1, 1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires nonzero polynomials"):
         resultant(Polynomial([1, 1]), Polynomial())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"requires deg f \+ deg g >= 1"):
         resultant(Polynomial([2]), Polynomial([3]))
 
 

@@ -23,6 +23,18 @@ def test_additive_identity():
     assert Polynomial() + f == f
 
 
+@pytest.mark.parametrize("poly, other", [
+    (Polynomial([3]), 3),  # a constant hashes as the number it equals
+    (Polynomial(), 0),
+    (Polynomial([Fraction(1, 2)]), Fraction(1, 2)),
+    (Polynomial([3, Fraction(1, 2), 7]), Polynomial(["6/2", "1/2", 7, 0])),
+])
+def test_equal_values_hash_alike(poly, other):
+    assert poly == other and hash(poly) == hash(other)
+    assert other in {poly} and poly in {other}
+    assert {poly: 1}.get(other) == 1
+
+
 def test_big_product_matches_convolution_oracle():
     # (x-2)^4 (x-3)^5, degree 9
     f = Polynomial([-2, 1]) ** 4 * Polynomial([-3, 1]) ** 5
