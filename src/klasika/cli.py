@@ -172,16 +172,13 @@ def _cmd_solve(args, opts):
     f = _one_poly(args, 2)
     if f.degree not in (2, 3):
         raise ValueError(f"solve supports degree 2 or 3, got degree {f.degree}")
-    tol = opts.get("tol")
     if f.degree == 2:
-        pair = roots.solve_quadratic(f)
-        res = tuple(abs(f(z)) for z in pair)
-        tol = tol if tol is not None else 1e-10 * (1.0 + f.norm_1())
-        zs, rs = list(pair), list(res)
+        zs = list(roots.solve_quadratic(f))
+        rs, bound = [abs(f(z)) for z in zs], 1e-10 * (1.0 + f.norm_1())
     else:
         out = roots.solve_cubic_cardano(f)
-        tol = tol if tol is not None else out.tolerance
-        zs, rs = list(out.roots), list(out.residuals)
+        zs, rs, bound = list(out.roots), list(out.residuals), out.tolerance
+    tol = opts.get("tol", bound)
     payload = {
         "polynomial": f.to_text(),
         "roots": [[_fnum(z.real), _fnum(z.imag)] for z in zs],

@@ -343,9 +343,7 @@ def _cubic_verdict(coeffs: list, details: dict, root_reason) -> Constructibility
 
 def cube_doubling() -> ConstructibilityVerdict:
     """The classical impossibility: x^3 - 2 is irreducible of degree 3."""
-    verdict = cube_scaling(2)
-    assert verdict.constructible is False
-    return verdict
+    return cube_scaling(2)
 
 
 def circle_squaring() -> ConstructibilityVerdict:

@@ -63,21 +63,6 @@ class SquareMatrix:
     def __reduce__(self):
         return type(self), (self.rows,)
 
-    @classmethod
-    def identity(cls, n: int) -> "SquareMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(zip(*self.rows))
-
-    def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        ot = other.transpose().rows
-        return SquareMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.rows]
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SquareMatrix):
             return NotImplemented

@@ -139,6 +139,9 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self.coeffs)
 
+    def __iter__(self):
+        return iter(self.coeffs)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs

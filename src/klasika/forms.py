@@ -59,9 +59,6 @@ class BinaryForm(_Form):
     b: Fraction
     c: Fraction
 
-    def __call__(self, x, y):
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
 
 class TernaryForm(_Form):
     """a*x^2 + b*y^2 + c*z^2 + 2d*xy + 2e*xz + 2f*yz over Q.
@@ -81,16 +78,6 @@ class TernaryForm(_Form):
     def from_equation_coefficients(cls, a, b, c, dd, ee, ff) -> "TernaryForm":
         """Build from coefficients as written in an equation (full cross terms)."""
         return cls(a, b, c, _as_fraction(dd) / 2, _as_fraction(ee) / 2, _as_fraction(ff) / 2)
-
-    def __call__(self, x, y, z):
-        return (
-            self.a * x * x
-            + self.b * y * y
-            + self.c * z * z
-            + 2 * self.d * x * y
-            + 2 * self.e * x * z
-            + 2 * self.f * y * z
-        )
 
     @property
     def is_zero(self) -> bool:

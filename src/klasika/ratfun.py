@@ -173,6 +173,10 @@ class PolyTerm(_Record):
     def eval(self, x: float) -> float:
         return self.poly(x)
 
+    def _render(self) -> tuple[tuple, list[tuple[bool, str]]]:
+        """(sort key, signed pieces); render orders the terms by the key."""
+        return (0,), _poly_terms(self.poly.coeffs)
+
 
 class LogAbs(_Record):
     coeff: Fraction
@@ -180,6 +184,9 @@ class LogAbs(_Record):
 
     def eval(self, x: float) -> float:
         return float(self.coeff) * math.log(abs(x - float(self.root)))
+
+    def _render(self) -> tuple[tuple, list[tuple[bool, str]]]:
+        return (1, self.root), _terms([(self.coeff, f"ln|{_fmt_linear(self.root)}|")])
 
 
 class PowerTerm(_Record):
@@ -190,6 +197,13 @@ class PowerTerm(_Record):
     def eval(self, x: float) -> float:
         return float(self.coeff) * (x - float(self.root)) ** self.exponent
 
+    def _render(self) -> tuple[tuple, list[tuple[bool, str]]]:
+        k = -self.exponent
+        if not self.coeff:
+            return (2, self.root, k), []
+        denom = f"({_fmt_linear(self.root)})" + (f"^{k}" if k > 1 else "")
+        return (2, self.root, k), [(self.coeff > 0, f"{abs(self.coeff)}/{denom}")]
+
 
 class LogQuadratic(_Record):
     coeff: Fraction
@@ -198,6 +212,9 @@ class LogQuadratic(_Record):
 
     def eval(self, x: float) -> float:
         return float(self.coeff) * math.log(x * x + float(self.p) * x + float(self.q))
+
+    def _render(self) -> tuple[tuple, list[tuple[bool, str]]]:
+        return (3, self.p, self.q), _terms([(self.coeff, f"ln({_fmt_quadratic(self.p, self.q)})")])
 
 
 class ArctanTerm(_Record):
@@ -218,6 +235,17 @@ class ArctanTerm(_Record):
     def eval(self, x: float) -> float:
         s = math.sqrt(float(self.scale_squared))
         return float(self.coeff) / s * math.atan((x + float(self.shift)) / s)
+
+    def _render(self) -> tuple[tuple, list[tuple[bool, str]]]:
+        key, s2 = (4, self.p, self.q), self.scale_squared
+        inner = _fmt_linear(-self.shift)  # renders x + shift
+        s = _is_square(s2)
+        if s is not None:
+            arg = inner if self.shift == 0 else f"({inner})"
+            return key, _terms([(self.coeff / s, f"arctan({arg})" if s == 1 else f"arctan({arg}/{s})")])
+        if not self.coeff:
+            return key, []
+        return key, [(self.coeff > 0, f"{abs(self.coeff)}/sqrt({s2})*arctan(({inner})/sqrt({s2}))")]
 
 
 Term = PolyTerm | LogAbs | PowerTerm | LogQuadratic | ArctanTerm
@@ -250,50 +278,8 @@ class SymbolicAntiderivative(_Record):
 
     def render(self) -> str:
         """Canonical text, e.g. ``ln|x| + 1/2*ln(x^2+4) - 1/2*arctan(x/2) + K``."""
-        pieces: list[tuple[bool, str]] = []
-        for term in self.terms:
-            if isinstance(term, PolyTerm):
-                pieces += _poly_terms(term.poly.coeffs)
-        for term in sorted(
-            (t for t in self.terms if isinstance(t, LogAbs)), key=lambda t: t.root
-        ):
-            pieces += _terms([(term.coeff, f"ln|{_fmt_linear(term.root)}|")])
-        for term in sorted(
-            (t for t in self.terms if isinstance(t, PowerTerm)),
-            key=lambda t: (t.root, -t.exponent),
-        ):
-            if term.coeff:
-                k = -term.exponent
-                denom = f"({_fmt_linear(term.root)})" if k == 1 else f"({_fmt_linear(term.root)})^{k}"
-                pieces.append((term.coeff > 0, f"{abs(term.coeff)}/{denom}"))
-        for term in sorted(
-            (t for t in self.terms if isinstance(t, LogQuadratic)), key=lambda t: (t.p, t.q)
-        ):
-            pieces += _terms([(term.coeff, f"ln({_fmt_quadratic(term.p, term.q)})")])
-        for term in sorted(
-            (t for t in self.terms if isinstance(t, ArctanTerm)), key=lambda t: (t.p, t.q)
-        ):
-            pieces += self._arctan_terms(term)
-        return _join_terms(pieces + [(True, "K")])
-
-    @staticmethod
-    def _arctan_terms(term: ArctanTerm) -> list[tuple[bool, str]]:
-        s2 = term.scale_squared
-        shift = term.shift
-        s = _is_square(s2)
-        if s is not None:
-            if shift == 0:
-                arg = "x" if s == 1 else f"x/{s}"
-            else:
-                inner = _fmt_linear(-shift)  # renders x + shift
-                arg = f"({inner})" if s == 1 else f"({inner})/{s}"
-            return _terms([(term.coeff / s, f"arctan({arg})")])
-        if not term.coeff:
-            return []
-        root_txt = f"sqrt({s2})"
-        inner = "x" if shift == 0 else _fmt_linear(-shift)
-        arg = f"({inner})/{root_txt}"
-        return [(term.coeff > 0, f"{abs(term.coeff)}/{root_txt}*arctan({arg})")]
+        ordered = sorted((term._render() for term in self.terms), key=lambda rendered: rendered[0])
+        return _join_terms([piece for _, pieces in ordered for piece in pieces] + [(True, "K")])
 
 
 def integrate_rational(p: Polynomial, q: Polynomial) -> SymbolicAntiderivative:

@@ -68,9 +68,7 @@ def depress(f: Polynomial) -> DepressedPolynomial:
         raise ValueError("depression requires degree >= 2")
     g = f.monic()
     shift = g[n - 1] / n
-    dep = g.taylor_shift(-shift)
-    assert dep[n - 1] == 0
-    return DepressedPolynomial(dep, shift)
+    return DepressedPolynomial(g.taylor_shift(-shift), shift)
 
 
 def _real_cbrt(x: float) -> float:

@@ -4,7 +4,9 @@ The polynomial helpers here are deliberately independent of the package
 under test: `convolve`/`expand_roots` multiply plain coefficient lists so
 they can serve as oracles for the library's own arithmetic, and
 `expand_factors`/`recombine` build on them to multiply out a real
-factorization and a partial-fraction decomposition.
+factorization and a partial-fraction decomposition.  Likewise
+`identity`/`transpose`/`matmul` work on plain lists of rows, and
+`form_value` evaluates a quadratic form from its stored coefficients.
 """
 
 import random
@@ -103,6 +105,30 @@ def recombine(polynomial_part, linear_terms, quadratic_terms) -> tuple[list[Frac
 def same_ratio(num, den, p, q) -> bool:
     """num/den == p/q, cross-multiplied on coefficient lists."""
     return _trim(convolve(list(num), list(q))) == _trim(convolve(list(p), list(den)))
+
+
+def identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def transpose(rows) -> list[list]:
+    return [list(col) for col in zip(*rows)]
+
+
+def matmul(a, b) -> list[list]:
+    """Plain-list matrix product of the rows a and b."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def form_value(form, *point):
+    """A BinaryForm's a*x^2 + b*x*y + c*y^2, or a TernaryForm's x^t M x from
+    its stored coefficients (d, e, f the halved cross terms), at the point."""
+    if len(point) == 2:
+        x, y = point
+        return form.a * x * x + form.b * x * y + form.c * y * y
+    rows = [[form.a, form.d, form.e], [form.d, form.b, form.f], [form.e, form.f, form.c]]
+    return sum(rows[i][j] * point[i] * point[j] for i in range(3) for j in range(3))
 
 
 @pytest.fixture

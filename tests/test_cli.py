@@ -90,6 +90,12 @@ GOLDEN_HUMAN = {
         "integral of (x^3 + 1) / (2*x^3 + x^2) dx = "
         "1/2*x + 7/4*ln|x+1/2| - 2*ln|x| - 1/(x) + K"
     ),
+    # all five term kinds, each in its place in the canonical order
+    ("integrate", "1,2,0,3,0,0,1,1", "/", "0,2,-4,3,-2,1"): (
+        "integral of (x^7 + x^6 + 3*x^3 + 2*x + 1) / (x^5 - 2*x^4 + 3*x^3 - 4*x^2 + 2*x) dx = "
+        "1/3*x^3 + 3/2*x^2 + 3*x + 1/2*ln|x| + 32/9*ln|x-1| - 8/3/(x-1) - 55/36*ln(x^2+2) "
+        "- 2/9/sqrt(2)*arctan((x)/sqrt(2)) + K"
+    ),
     ("partfrac", "1", "/", "0,0,1,2"): (
         "(1) / (2*x^3 + x^2) = (2)/(x+1/2) + (-2)/x + (1)/x^2"
     ),
@@ -421,6 +427,11 @@ GOLDEN_JSON = {
     ("integrate", "4,-1,2", "/", "0,4,0,1"): (
         '{"antiderivative": "ln|x| + 1/2*ln(x^2+4) - 1/2*arctan(x/2) + K", "command": "integrate", '
         '"denominator": "0,4,0,1", "numerator": "4,-1,2", "schema": 1, "status": "ok"}'
+    ),
+    ("integrate", "1,2,0,3,0,0,1,1", "/", "0,2,-4,3,-2,1"): (
+        '{"antiderivative": "1/3*x^3 + 3/2*x^2 + 3*x + 1/2*ln|x| + 32/9*ln|x-1| - 8/3/(x-1) '
+        '- 55/36*ln(x^2+2) - 2/9/sqrt(2)*arctan((x)/sqrt(2)) + K", "command": "integrate", '
+        '"denominator": "0,2,-4,3,-2,1", "numerator": "1,2,0,3,0,0,1,1", "schema": 1, "status": "ok"}'
     ),
     ("partfrac", "4,-1,2", "/", "0,4,0,1"): (
         '{"command": "partfrac", "denominator": "0,4,0,1", "linear_terms": [["1", "0", 1]], '

@@ -21,7 +21,7 @@ from klasika.disc import (
 )
 from klasika.exact import Polynomial, poly_gcd
 
-from conftest import convolve, expand_roots, rand_coeffs, rand_fraction
+from conftest import convolve, expand_roots, identity, rand_coeffs, rand_fraction
 
 
 def brute_force_pair_product(roots):
@@ -47,7 +47,7 @@ def eq10_discriminant(roots, lead):
 
 def test_determinant_identity():
     for n in (1, 2, 3, 5):
-        assert determinant(SquareMatrix.identity(n)) == 1
+        assert determinant(SquareMatrix(identity(n))) == 1
 
 
 def test_determinant_form_matrix(rng):

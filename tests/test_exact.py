@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -33,6 +34,18 @@ def test_equal_values_hash_alike(poly, other):
     assert poly == other and hash(poly) == hash(other)
     assert other in {poly} and poly in {other}
     assert {poly: 1}.get(other) == 1
+
+
+def test_iteration_yields_the_coefficients_and_stops():
+    p = Polynomial([1, 2])
+    # These two checks end even when iteration falls back to __getitem__,
+    # which reads 0 past the degree and so never raises IndexError.
+    a, b = p
+    assert (a, b) == (1, 2)
+    assert list(itertools.islice(iter(p), len(p) + 1)) == list(p.coeffs)
+    assert Polynomial(p) == p
+    assert 2 in p and 5 not in p
+    assert list(Polynomial()) == []
 
 
 def test_big_product_matches_convolution_oracle():

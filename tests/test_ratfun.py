@@ -5,6 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from klasika.exact import Polynomial, rational_roots
@@ -365,6 +367,17 @@ def test_integrate_log_only():
     for term in zero_terms:
         assert SymbolicAntiderivative((term,)).render() == "K"
         assert SymbolicAntiderivative((LogAbs(one, zero), term)).render() == "ln|x| + K"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_render_does_not_depend_on_term_order(rng):
+    lead, roots, quads = rand_decomposable(rng, max_deg=10)
+    q = build(lead, roots, quads)
+    anti = integrate_rational(rand_numerator(rng, q), q)
+    terms = list(anti.terms)
+    rng.shuffle(terms)
+    assert SymbolicAntiderivative(tuple(terms)).render() == anti.render()
 
 
 def test_integrate_power_term_rendering():
