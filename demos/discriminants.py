@@ -7,6 +7,7 @@ it from the coefficients alone, by two completely different routes, and
 they agree exactly.
 """
 
+import math
 from fractions import Fraction
 
 from klasika import (
@@ -38,7 +39,7 @@ print("  S_0..S_4 =", list(power_sums(quadratic, 4)))
 
 # A degree-9 polynomial with repeated roots is *easier*, and the
 # discriminant sees that instantly:
-nasty = Polynomial([-2, 1]) ** 4 * Polynomial([-3, 1]) ** 5  # (x-2)^4 (x-3)^5
+nasty = math.prod([Polynomial([-2, 1])] * 4 + [Polynomial([-3, 1])] * 5)  # (x-2)^4 (x-3)^5
 print("\n(x-2)^4 (x-3)^5, degree", nasty.degree)
 print("  has repeated roots?", has_repeated_roots(nasty))
 print("  discriminant:", discriminant_resultant(nasty))

@@ -8,7 +8,9 @@ that are exact and total at this scale:
   angle trisection and cube scaling get definitive verdicts with a checkable
   witness (an irreducible integer cubic, or an explicit factorization);
 * regular n-gons reduce to the factorization of n: every odd prime factor
-  must be a Fermat prime (2^2^r + 1) and appear exactly once;
+  must be a Fermat prime (2^2^r + 1) and appear exactly once.  Below the
+  2^64 input cap those are F0..F4 = 3, 5, 17, 257, 65537, since Euler showed
+  F5 = 2^32 + 1 = 641 * 6700417;
 * squaring the circle is settled by the transcendence of pi, which is taken
   as a documented fact rather than something this code could compute.
 
@@ -213,28 +215,12 @@ _INPUT_CAP = 2**64
 
 
 def is_fermat_prime(p: int) -> bool:
-    """True iff p is prime and of the form 2^(2^r) + 1.
-
-    The shape of p - 1 is checked first, which leaves only finitely many
-    candidates below the 2^64 input cap; those are settled by deterministic
-    trial division up to sqrt(p).
-    """
-    if p < 2:
-        return False
+    """True iff p is prime and of the form 2^(2^r) + 1: up to the 2^64 input
+    cap, one of F0..F4, as Euler's F5 = 641 * 6700417 is composite and
+    F6 = 2^64 + 1 lies above the cap."""
     if p > _INPUT_CAP:
         raise ValueError("is_fermat_prime accepts inputs up to 2^64 only")
-    m = p - 1
-    if m & (m - 1) != 0:
-        return False
-    k = m.bit_length() - 1  # p = 2^k + 1
-    if k == 0 or k & (k - 1) != 0:
-        return False  # k must itself be a power of two
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p in (3, 5, 17, 257, 65537)
 
 
 def _strip(n: int, p: int) -> tuple[int, int]:

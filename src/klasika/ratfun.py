@@ -317,6 +317,7 @@ class ConicParam(_Record):
     circle/ellipse:  x = a(1-t^2)/(1+t^2),  y = 2bt/(1+t^2)
     hyperbola:       x = a(1+t^2)/(1-t^2),  y = 2bt/(1-t^2)   (poles t = +-1)
     parabola:        x = a t^2,             y = 2 a t          (y^2 = 4ax)
+    The first two are x = a(1-s*t^2)/(1+s*t^2), y = 2bt/(1+s*t^2) with s = +-1.
     """
 
     kind: str
@@ -332,26 +333,22 @@ class ConicParam(_Record):
             raise ValueError("a circle needs equal semi-axes")
 
     def point(self, t: float) -> tuple[float, float]:
-        if self.kind in ("circle", "ellipse"):
-            den = 1.0 + t * t
-            return self.a * (1.0 - t * t) / den, 2.0 * self.b * t / den
-        if self.kind == "hyperbola":
-            den = 1.0 - t * t
-            if den == 0.0:
-                raise ValueError(f"t = {t} is a pole of the parametrization (t^2 = 1)")
-            return self.a * (1.0 + t * t) / den, 2.0 * self.b * t / den
-        return self.a * t * t, 2.0 * self.a * t
+        if self.kind == "parabola":
+            return self.a * t * t, 2.0 * self.a * t
+        st2 = (-1.0 if self.kind == "hyperbola" else 1.0) * t * t
+        den = 1.0 + st2
+        if den == 0.0:  # only the hyperbola has poles
+            raise ValueError(f"t = {t} is a pole of the parametrization (t^2 = 1)")
+        return self.a * (1.0 - st2) / den, 2.0 * self.b * t / den
 
     def implicit_residual(self, x: float, y: float) -> float:
         """Relative residual of the conic's implicit equation at (x, y)."""
-        if self.kind in ("circle", "ellipse"):
-            t1, t2 = (x / self.a) ** 2, (y / self.b) ** 2
-            return abs(t1 + t2 - 1.0) / (1.0 + t1 + t2)
-        if self.kind == "hyperbola":
-            t1, t2 = (x / self.a) ** 2, (y / self.b) ** 2
-            return abs(t1 - t2 - 1.0) / (1.0 + t1 + t2)
-        t1, t2 = y * y, 4.0 * self.a * x
-        return abs(t1 - t2) / (1.0 + abs(t1) + abs(t2))
+        if self.kind == "parabola":
+            t1, t2 = y * y, 4.0 * self.a * x
+            return abs(t1 - t2) / (1.0 + abs(t1) + abs(t2))
+        t1, t2 = (x / self.a) ** 2, (y / self.b) ** 2
+        s = -1.0 if self.kind == "hyperbola" else 1.0
+        return abs(t1 + s * t2 - 1.0) / (1.0 + t1 + t2)
 
 
 # -- ellipse area and perimeter ------------------------------------------------------

@@ -118,26 +118,18 @@ def solve_cubic_cardano(f: Polynomial) -> CubicRoots:
     a, b = dep.poly[1], dep.poly[0]  # y^3 + a*y + b
     radicand = b * b / 4 + a * a * a / 27  # exact; the depressed discriminant is -108 times this
 
+    af, bf = _coeff_float(a), _coeff_float(b)
     if a == 0:
-        u = 0.0 + 0.0j
-        v = complex(_real_cbrt(-_coeff_float(b)), 0.0)
-    elif radicand > 0:
-        sq = math.sqrt(_coeff_float(radicand))
-        bf = _coeff_float(b)
-        if bf > 0:
-            # -b/2 + sq would cancel; rationalize through the exact product of the radicands
-            u3 = _coeff_float(a) ** 3 / 27.0 / (bf / 2.0 + sq)
-        else:
-            u3 = -bf / 2.0 + sq
-        u = complex(_real_cbrt(u3), 0.0)
-        v = -_coeff_float(a) / (3.0 * u)
-    elif radicand == 0:
-        u = complex(_real_cbrt(-_coeff_float(b) / 2.0), 0.0)
-        v = -_coeff_float(a) / (3.0 * u)
+        u, v = 0j, complex(_real_cbrt(-bf), 0.0)
     else:
-        u3 = complex(-_coeff_float(b) / 2.0, math.sqrt(_coeff_float(-radicand)))
-        u = _principal_cbrt(u3)
-        v = -_coeff_float(a) / (3.0 * u)
+        if radicand < 0:
+            u = _principal_cbrt(complex(-bf / 2.0, math.sqrt(_coeff_float(-radicand))))
+        else:
+            sq = math.sqrt(_coeff_float(radicand))
+            # -b/2 + sq would cancel if b > 0 < sq; rationalize through the exact product of the radicands
+            u3 = af**3 / 27.0 / (bf / 2.0 + sq) if bf > 0 and radicand else -bf / 2.0 + sq
+            u = complex(_real_cbrt(u3), 0.0)
+        v = -af / (3.0 * u)
 
     ys = [u + v, _OMEGA * u + _OMEGA2 * v, _OMEGA2 * u + _OMEGA * v]
 
@@ -187,8 +179,4 @@ def roots_of_unity(n: int) -> list[complex]:
     """The n distinct points (cos 2*pi*k/n, sin 2*pi*k/n); the first is exactly 1."""
     if n < 1:
         raise ValueError("roots_of_unity requires n >= 1")
-    out = [complex(1.0, 0.0)]
-    for k in range(1, n):
-        theta = 2.0 * math.pi * k / n
-        out.append(complex(math.cos(theta), math.sin(theta)))
-    return out
+    return [cmath.rect(1.0, 2.0 * math.pi * k / n) for k in range(n)]

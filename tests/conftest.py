@@ -4,11 +4,13 @@ The polynomial helpers here are deliberately independent of the package
 under test: `convolve`/`expand_roots` multiply plain coefficient lists so
 they can serve as oracles for the library's own arithmetic, and
 `expand_factors`/`recombine` build on them to multiply out a real
-factorization and a partial-fraction decomposition.  Likewise
-`identity`/`transpose`/`matmul` work on plain lists of rows, and
-`form_value` evaluates a quadratic form from its stored coefficients.
+factorization and a partial-fraction decomposition, and `difference` takes
+a - b.  Likewise `identity`/`transpose`/`matmul` work on plain lists of
+rows, and `form_value` evaluates a quadratic form from its stored
+coefficients.  `power` builds f^n from repeated products.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -100,6 +102,17 @@ def recombine(polynomial_part, linear_terms, quadratic_terms) -> tuple[list[Frac
     for i, (b, c, _, _) in enumerate(quadratic_terms):
         num = _add(num, convolve([c, b], expand_factors(1, powers.items(), quadratics[:i] + quadratics[i + 1:])))
     return _trim(num), den
+
+
+def difference(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """a - b on plain coefficient lists, trailing zeros trimmed."""
+    return _trim(_add(a, [-y for y in b]))
+
+
+def power(f, n: int):
+    """f^n as the product of n factors f, so a test builds its inputs without
+    Polynomial.__pow__; n = 0 gives the integer 1."""
+    return math.prod([f] * n)
 
 
 def same_ratio(num, den, p, q) -> bool:

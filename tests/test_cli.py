@@ -15,7 +15,7 @@ from klasika.exact import Polynomial, poly_gcd, rational_roots
 from klasika.ratfun import factor_real, partial_fractions
 from klasika.roots import residual_tolerance, solve_cubic_cardano
 
-from conftest import convolve, expand_roots, recombine, same_ratio
+from conftest import convolve, expand_roots, power, recombine, same_ratio
 from test_forms import classify_conic_by_schur, numpy_inertia, transform_conic
 from test_ratfun import apart_terms, recombines_to
 
@@ -200,7 +200,7 @@ def test_degree_64_refusal_is_fast():
 
 def test_repeated_irrational_cluster_roots_are_fast():
     m = 10**30 + 57
-    f = Polynomial([-2, 0, 1]) ** 31 * Polynomial([-1, m])  # (x^2 - 2)^31 * (m*x - 1)
+    f = power(Polynomial([-2, 0, 1]), 31) * Polynomial([-1, m])  # (x^2 - 2)^31 * (m*x - 1)
     t0 = time.perf_counter()
     assert rational_roots(f) == [Fraction(1, m)]
     assert time.perf_counter() - t0 < 0.2
@@ -544,6 +544,27 @@ def test_exit_codes():
     assert out(["construct-eval", "sqrt(0-2)"]).exit_code == 1
     assert out(["--tol", "x", "disc", "2,-3,1"]).exit_code == 2
     assert out(["--help"]).exit_code == 0
+
+
+@pytest.mark.parametrize("t", ["1", "-1"])
+def test_hyperbola_poles_are_refused(t):
+    result = run(["param", "hyperbola", "2", "1", t])
+    assert result.exit_code == 1
+    assert result.human_text == f"error: t = {float(t)} is a pole of the parametrization (t^2 = 1)"
+
+
+def test_ellipse_has_no_pole_at_t_1():
+    # x = a(1 - s*t^2)/(1 + s*t^2) with s = 1: t = 1 is the end of the minor axis, not a pole
+    assert run(["param", "ellipse", "2", "1", "1"]).human_text == "ellipse(t=1) = (0, 1)   residual 0"
+    payload = run(["--json", "param", "ellipse", "2", "1", "1"]).payload
+    assert (payload["x"], payload["y"], payload["residual"]) == (0.0, 1.0, 0.0)
+
+
+def test_perimeter_of_an_ellipse_thinner_than_the_double_range():
+    # b/a = 1e-600 underflows, so the ellipse is a segment of length 2a, run twice
+    result = run(["ellipse", "perimeter", "1e300", "1e-300"])
+    assert result.human_text == "ellipse perimeter (a=1e+300, b=1e-300): 4e+300"
+    assert run(["--json", "ellipse", "perimeter", "1e300", "1e-300"]).payload["value"] == 4e300
 
 
 def test_error_messages_name_the_offender():

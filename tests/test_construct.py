@@ -236,6 +236,22 @@ def test_fermat_primes():
         is_fermat_prime(2**64 + 10)
 
 
+def _smallest_factor(n: int) -> int:
+    """The least divisor d >= 2 of n >= 2, by trial division."""
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+
+def test_fermat_primes_match_a_trial_division_oracle():
+    """Every integer in [-10, 2^20], F5 and the 2^64 cap against the
+    definition: a Fermat number 2^(2^r) + 1 that trial division finds prime."""
+    fermat_numbers = {2 ** (2**r) + 1 for r in range(6)}
+    for n in [*range(-10, 2**20 + 1), 2**32 + 1, 2**64]:
+        assert is_fermat_prime(n) is (n in fermat_numbers and _smallest_factor(n) == n), n
+    assert _smallest_factor(2**32 + 1) == 641  # Euler's factor of F5
+    with pytest.raises(ValueError, match="up to 2\\^64 only"):
+        is_fermat_prime(2**64 + 1)  # F6, just above the cap
+
+
 def test_ngon_9_and_20():
     assert ngon_constructible(9).constructible is False
     assert ngon_constructible(20).constructible is True

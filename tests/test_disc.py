@@ -21,7 +21,7 @@ from klasika.disc import (
 )
 from klasika.exact import Polynomial, poly_gcd
 
-from conftest import convolve, expand_roots, identity, rand_coeffs, rand_fraction
+from conftest import convolve, expand_roots, identity, power, rand_coeffs, rand_fraction
 
 
 def brute_force_pair_product(roots):
@@ -194,6 +194,28 @@ def test_power_sums_match_newton_over_q():
 def test_power_sums_errors():
     with pytest.raises(ValueError):
         power_sums(Polynomial(), 3)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        power_sums(Polynomial([2, -3, 1]), -1)
+
+
+@pytest.mark.parametrize("f", [Polynomial(), Polynomial([7]), Polynomial([1, 2])])
+def test_both_discriminant_routes_refuse_degree_below_2(f):
+    for route in (discriminant_resultant, discriminant_hankel):
+        with pytest.raises(ValueError, match="discriminant requires degree >= 2"):
+            route(f)
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[1, 2], [3]], [[1, 2]], [[1], [2]]])
+def test_square_matrix_refuses_a_ragged_or_empty_matrix(rows):
+    with pytest.raises(ValueError, match="matrix must be square and non-empty"):
+        SquareMatrix(rows)
+
+
+def test_equal_square_matrices_hash_alike():
+    m = SquareMatrix([[1, "1/2"], [Fraction(1, 2), 3]])
+    same = SquareMatrix([[Fraction(2, 2), Fraction(1, 2)], [Fraction(1, 2), 3]])
+    assert m == same and hash(m) == hash(same) and len({m, same}) == 1
+    assert m != SquareMatrix([[1, 0], [0, 3]]) and m != m.rows
 
 
 def test_quadratic_discriminant_formula(rng):
@@ -289,7 +311,7 @@ def hankel_inputs():
             f = Polynomial(coeffs + [lead])
             assert sum(c == 0 for c in f.coeffs) >= (n + 1) / 2
         else:
-            square = Polynomial([rng.randint(-9, 9), rng.randint(1, 9)]) ** 2
+            square = power(Polynomial([rng.randint(-9, 9), rng.randint(1, 9)]), 2)
             rest = Polynomial([Fraction(rng.randint(-999, 999), rng.randint(1, 9)) for _ in range(n - 2)] + [lead])
             f = square * rest
         assert f.degree == n
@@ -500,20 +522,22 @@ def test_resultant_errors():
 
 
 def test_has_repeated_roots_examples():
-    f = Polynomial([-2, 1]) ** 4 * Polynomial([-3, 1]) ** 5
+    f = power(Polynomial([-2, 1]), 4) * power(Polynomial([-3, 1]), 5)
     assert has_repeated_roots(f) is True
     assert has_repeated_roots(Polynomial([-1, 0, 1])) is False
     assert has_repeated_roots(Polynomial([1, 2, 1])) is True
     assert has_repeated_roots(Polynomial([5, 1])) is False
     with pytest.raises(ValueError):
         has_repeated_roots(Polynomial())
+    with pytest.raises(ValueError, match="requires degree >= 1"):
+        has_repeated_roots(Polynomial([5]))
 
 
 def test_repeated_roots_matches_gcd_criterion(rng):
     for k in range(1000):
         f = Polynomial(rand_coeffs(rng, rng.randint(2, 5)))
         if k % 3 == 0:  # plant a square factor
-            f = f * Polynomial(rand_coeffs(rng, 1)) ** 2
+            f = f * power(Polynomial(rand_coeffs(rng, 1)), 2)
         by_disc = discriminant_resultant(f) == 0
         by_gcd = poly_gcd(f, f.derivative()).degree >= 1
         assert by_disc == by_gcd
@@ -521,7 +545,7 @@ def test_repeated_roots_matches_gcd_criterion(rng):
     # high degrees, where the Sylvester matrices reach order 47
     for k, degree in enumerate((8, 11, 14, 17, 20, 24)):
         if k % 2:  # plant a square factor
-            f = Polynomial(rand_coeffs(rng, degree - 4)) * Polynomial(rand_coeffs(rng, 2)) ** 2
+            f = Polynomial(rand_coeffs(rng, degree - 4)) * power(Polynomial(rand_coeffs(rng, 2)), 2)
         else:
             f = Polynomial(rand_coeffs(rng, degree))
         assert f.degree == degree

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from klasika.exact import Polynomial, _fraction_from_text, poly_gcd, rational_roots
 
-from conftest import convolve, expand_roots, rand_coeffs, rand_fraction
+from conftest import convolve, difference, expand_roots, power, rand_coeffs, rand_fraction
 
 
 X = Polynomial([0, 1])
@@ -48,9 +48,56 @@ def test_iteration_yields_the_coefficients_and_stops():
     assert list(Polynomial()) == []
 
 
+def test_pow_is_the_repeated_product():
+    """The one direct test of Polynomial.__pow__; other tests build f^n with `power`."""
+    f = Polynomial([Fraction(-1, 2), 0, 3])
+    assert f**0 == Polynomial([1])
+    for n in range(1, 7):
+        assert f**n == power(f, n)
+    with pytest.raises(ValueError, match="negative polynomial powers"):
+        f**-1
+
+
+def test_subtraction_and_negation_match_the_list_oracle(rng):
+    for _ in range(200):
+        a, b = rand_coeffs(rng, rng.randint(0, 5)), rand_coeffs(rng, rng.randint(0, 5))
+        c = rand_fraction(rng)
+        f, g = Polynomial(a), Polynomial(b)
+        assert list((f - g).coeffs) == difference(a, b)
+        assert list((-f).coeffs) == difference([], a)
+        assert list((f - c).coeffs) == difference(a, [c])
+        assert list((c - f).coeffs) == difference([c], a)  # Fraction defers to __rsub__
+    assert 3 - Polynomial([1, 2]) == Polynomial([2, -2])
+    assert Polynomial([1, 2]) - Polynomial([1, 2]) == Polynomial()
+
+
+def test_scalars_coerce_and_other_types_are_refused():
+    f = Polynomial([1, 2])
+    assert f + 1 == 1 + f == Polynomial([2, 2])
+    assert f * Fraction(1, 2) == Fraction(1, 2) * f == Polynomial([Fraction(1, 2), 1])
+    assert divmod(Polynomial([1, 0, 2]), 2) == (Polynomial([Fraction(1, 2), 0, 1]), Polynomial())
+    assert f != "1,2"
+    for op in (lambda: f + 1.5, lambda: f - "1", lambda: f * 1.5, lambda: divmod(f, 1.5)):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(TypeError, match="floats are not exact"):
+        Polynomial([1, 0.5])
+
+
+def test_truth_and_the_zero_polynomial():
+    assert bool(Polynomial([0, 1])) is True
+    assert bool(Polynomial()) is False and bool(Polynomial([0, 0])) is False
+    assert Polynomial().leading_coefficient == 0
+    with pytest.raises(ValueError, match="no monic form"):
+        Polynomial().monic()
+    for zero in (Polynomial(), 0):
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+            divmod(Polynomial([1, 2]), zero)
+
+
 def test_big_product_matches_convolution_oracle():
     # (x-2)^4 (x-3)^5, degree 9
-    f = Polynomial([-2, 1]) ** 4 * Polynomial([-3, 1]) ** 5
+    f = power(Polynomial([-2, 1]), 4) * power(Polynomial([-3, 1]), 5)
     expected = expand_roots([Fraction(2)] * 4 + [Fraction(3)] * 5)
     assert list(f.coeffs) == expected
     assert f.degree == 9
@@ -69,7 +116,7 @@ def test_derivative_basics():
 
 
 def test_derivative_of_repeated_root_product_shares_factor():
-    f = Polynomial([-2, 1]) ** 4 * Polynomial([-3, 1]) ** 5
+    f = power(Polynomial([-2, 1]), 4) * power(Polynomial([-3, 1]), 5)
     shared = Polynomial(expand_roots([Fraction(2)] * 3 + [Fraction(3)] * 4))
     assert f.derivative() % shared == Polynomial()
     assert poly_gcd(f, f.derivative()) == shared

@@ -61,6 +61,12 @@ def test_star_import_binds_every_name():
     }
 
 
+def test_dir_lists_every_public_name_and_layer():
+    names = dir(klasika)
+    assert names == sorted(names)
+    assert set(PUBLIC_NAMES) | {"exact", "disc", "roots", "forms", "construct", "ratfun"} <= set(names)
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         klasika.no_such_name

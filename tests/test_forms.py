@@ -559,13 +559,43 @@ def test_rational_nullspace():
     for vec in basis:
         assert sum(vec) == 0
     assert rational_nullspace([[1, 0], [0, 1]]) == []
+    assert rational_nullspace([]) == []
+
+
+def rref_nullspace(rows) -> list[list[Fraction]]:
+    """The reduced-echelon null-space basis, by Gauss-Jordan on Fractions:
+    for each column without a pivot, the vector with 1 there, 0 at the other
+    free columns, and minus the reduced rows' entries of that column at the
+    pivots."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(len(m[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [v / m[r][col] for v in m[r]]
+        for i in range(len(m)):
+            factor = m[i][col]
+            if i != r and factor:
+                m[i] = [v - factor * w for v, w in zip(m[i], m[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(len(m[0])) if c not in pivots):
+        vec = [Fraction(int(c == free)) for c in range(len(m[0]))]
+        for row, col in zip(m, pivots):
+            vec[col] = -row[free]
+        basis.append(vec)
+    return basis
 
 
 def test_closed_form_eigenbasis_equals_rational_nullspace():
     """`orthogonal_diagonalize` reads each rational eigenvalue's basis from
     closed forms on the integer rows of M - lambda*I; they must give exactly
-    the reduced-echelon basis of `rational_nullspace`.  Every singular
-    symmetric 2x2 and 3x3 integer matrix with entries in [-2, 2] is checked."""
+    the reduced-echelon basis, which `rational_nullspace` also returns, here
+    computed by the test's own Gauss-Jordan.  Every singular symmetric 2x2 and
+    3x3 integer matrix with entries in [-2, 2] is checked."""
     seen = set()
     for n in (2, 3):
         upper = [(i, j) for i in range(n) for j in range(i, n)]
@@ -573,7 +603,7 @@ def test_closed_form_eigenbasis_equals_rational_nullspace():
             rows = [[0] * n for _ in range(n)]
             for (i, j), v in zip(upper, values):
                 rows[i][j] = rows[j][i] = v
-            expected = rational_nullspace(rows)
+            expected = rref_nullspace(rows)
             if expected:
                 assert forms._eigenbasis(rows, len(expected)) == expected, rows
                 seen.add((n, len(expected)))
@@ -615,6 +645,18 @@ def test_diagonalize_all_ones():
 def test_diagonalize_refuses_a_non_symmetric_matrix(rows):
     with pytest.raises(ValueError, match="requires a symmetric matrix"):
         orthogonal_diagonalize(SquareMatrix(rows))
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
+        SymMatrix(rows)
+
+
+def test_diagonalize_refuses_order_4():
+    with pytest.raises(ValueError, match="supports 2x2 and 3x3 only"):
+        orthogonal_diagonalize(SymMatrix(identity(4)))
+
+
+def test_form_to_matrix_refuses_a_non_form():
+    with pytest.raises(TypeError, match="not a quadratic form"):
+        form_to_matrix(SymMatrix(identity(2)))
 
 
 def test_diagonalize_random_invariants(rng):

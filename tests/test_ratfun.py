@@ -27,7 +27,7 @@ from klasika.ratfun import (
     partial_fractions,
 )
 
-from conftest import expand_factors, rand_fraction, recombine, same_ratio
+from conftest import expand_factors, power, rand_fraction, recombine, same_ratio
 
 
 def recombines_to(pf: PartialFractions, p: Polynomial, q: Polynomial) -> bool:
@@ -80,8 +80,13 @@ def test_factor_real_irrational_quadratic_unsupported():
         factor_real(Polynomial([-2, 0, 1]))  # x^2 - 2
 
 
+def test_factor_real_refuses_zero():
+    with pytest.raises(ValueError, match="cannot factor the zero polynomial"):
+        factor_real(Polynomial())
+
+
 def test_factor_real_repeated_quadratic_detected():
-    q = Polynomial([1, 0, 1]) ** 2
+    q = power(Polynomial([1, 0, 1]), 2)
     fr = factor_real(q)
     assert fr.quadratic_factors == ((Fraction(0), Fraction(1), 2),)
 
@@ -110,7 +115,7 @@ def test_partial_fractions_polynomial_part():
 
 
 def test_partial_fractions_repeated_linear():
-    q = Polynomial([-1, 1]) ** 2 * Polynomial([2, 1])
+    q = power(Polynomial([-1, 1]), 2) * Polynomial([2, 1])
     pf = partial_fractions(Polynomial([1]), q)
     terms = {(r, k): a for a, r, k in pf.linear_terms}
     # solved by hand: 1/((x-1)^2 (x+2)) = -1/9/(x-1) + 1/3/(x-1)^2 + 1/9/(x+2)
@@ -120,7 +125,7 @@ def test_partial_fractions_repeated_linear():
 
 
 def test_partial_fractions_rejects_repeated_quadratic():
-    q = Polynomial([1, 0, 1]) ** 2
+    q = power(Polynomial([1, 0, 1]), 2)
     with pytest.raises(UnsupportedFactorizationError):
         partial_fractions(Polynomial([1]), q)
 
@@ -166,15 +171,15 @@ def coefficient_matching(p, q):
     monic_q = q.monic()
     cols, labels = [], []
     for root, mult in fact.linear_factors:
-        for power in range(1, mult + 1):
-            cols.append(monic_q // Polynomial([-root, 1]) ** power)
-            labels.append((root, power))
+        for k in range(1, mult + 1):
+            cols.append(monic_q // power(Polynomial([-root, 1]), k))
+            labels.append((root, k))
     for pp, qq, _ in fact.quadratic_factors:
         cofactor = monic_q // Polynomial([qq, pp, 1])
         cols += [cofactor * Polynomial([0, 1]), cofactor]
     n = monic_q.degree
     solution = gauss_jordan([[col[i] for col in cols] for i in range(n)], [rem[i] for i in range(n)])
-    linear = tuple((a, root, power) for a, (root, power) in zip(solution, labels) if a != 0)
+    linear = tuple((a, root, k) for a, (root, k) in zip(solution, labels) if a != 0)
     rest = solution[len(labels):]
     quadratic = tuple(
         (rest[2 * i], rest[2 * i + 1], pp, qq) for i, (pp, qq, _) in enumerate(fact.quadratic_factors)
@@ -209,7 +214,7 @@ def build(lead, roots, quads, drop_root=None, drop_quad=None):
     (x-r)^k for drop_root = (r, k) and Q for drop_quad = (p, q)."""
     out = Polynomial([lead])
     for r, m in roots.items():
-        out = out * Polynomial([-r, 1]) ** (m - drop_root[1] if drop_root and drop_root[0] == r else m)
+        out = out * power(Polynomial([-r, 1]), m - drop_root[1] if drop_root and drop_root[0] == r else m)
     for pq in quads:
         if pq != drop_quad:
             out = out * Polynomial([pq[1], pq[0], 1])
@@ -316,7 +321,7 @@ def test_partial_fractions_against_sympy_apart(rng):
 
 def test_partial_fractions_large_denominator_roots():
     r, s = Fraction(7, 64), Fraction(-5, 1024)
-    q = Polynomial([-r, 1]) ** 3 * Polynomial([-64 * s, 64]) * Polynomial([3, 1, 1]) * Fraction(1, 3)
+    q = power(Polynomial([-r, 1]), 3) * Polynomial([-64 * s, 64]) * Polynomial([3, 1, 1]) * Fraction(1, 3)
     p = Polynomial([1, -2, 0, 5, 0, 0, 0, 0, 7])  # degree 8 > deg q = 6
     pf = partial_fractions(p, q)
     assert pf == coefficient_matching(p, q)
@@ -327,11 +332,11 @@ def test_partial_fractions_large_denominator_roots():
 
 @pytest.mark.parametrize("p, q, powers", [
     # 2m = 8 > deg q + 1: q's Taylor coefficients at 1/3 run past its degree
-    (Polynomial([5, -1, 0, 2]), Polynomial([-1, 3]) ** 4, [1, 2, 3, 4]),
+    (Polynomial([5, -1, 0, 2]), power(Polynomial([-1, 3]), 4), [1, 2, 3, 4]),
     # fractional leading coefficient, root and numerator; the quadratic needs y = 6x
     (
         Polynomial([Fraction(1, 2), Fraction(-3, 7), 0, Fraction(5, 3), 1, Fraction(2, 9)]),
-        Fraction(3, 4) * Polynomial([Fraction(-2, 5), 1]) ** 2 * Polynomial([Fraction(1, 3), Fraction(1, 2), 1]),
+        Fraction(3, 4) * power(Polynomial([Fraction(-2, 5), 1]), 2) * Polynomial([Fraction(1, 3), Fraction(1, 2), 1]),
         [1, 2],
     ),
     # the root 0 of multiplicity 3 beside x^2 + 4
@@ -381,7 +386,7 @@ def test_render_does_not_depend_on_term_order(rng):
 
 
 def test_integrate_power_term_rendering():
-    anti = integrate_rational(Polynomial([1]), Polynomial([-1, 1]) ** 2)
+    anti = integrate_rational(Polynomial([1]), power(Polynomial([-1, 1]), 2))
     assert anti.render() == "-1/(x-1) + K"
 
 

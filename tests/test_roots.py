@@ -15,7 +15,7 @@ from klasika.roots import (
     solve_quadratic,
 )
 
-from conftest import rand_coeffs, rand_fraction
+from conftest import power, rand_coeffs, rand_fraction
 
 EPS_CUBE = complex(-0.5, math.sqrt(3) / 2)
 
@@ -111,8 +111,8 @@ def test_cardano_residuals_are_bitwise_abs_f_of_root(rng):
         q += p * p / 4 + abs(rand_fraction(rng, 1, 9, 4))  # x^2 + p*x + q has no real root
         cubics += [
             Polynomial([-r1, 1]) * Polynomial([-r2, 1]) * Polynomial([-r3, lead]),  # three real roots
-            Polynomial([-r1, 1]) ** 2 * Polynomial([-r2, lead]),  # a double root
-            Polynomial([-r1, 1]) ** 3 * lead,  # a triple root
+            power(Polynomial([-r1, 1]), 2) * Polynomial([-r2, lead]),  # a double root
+            power(Polynomial([-r1, 1]), 3) * lead,  # a triple root
             Polynomial([q, p, 1]) * Polynomial([-r1, lead]),  # a complex pair
         ]
     for f in cubics:
@@ -247,6 +247,15 @@ def test_roots_of_unity_small():
     for got, want in zip(four, (1, 1j, -1, -1j)):
         assert abs(got - want) < 1e-12
     assert four[0] == 1 + 0j  # exactly
+
+
+def test_roots_of_unity_are_cos_and_sin_of_the_angles():
+    """de Moivre: the k-th root is cos(2*pi*k/n) + i*sin(2*pi*k/n), bit for bit
+    and signed zeros included, so the first is exactly 1 + 0i."""
+    for n in range(1, 200):
+        thetas = [2.0 * math.pi * k / n for k in range(n)]
+        want = [(math.cos(t).hex(), math.sin(t).hex()) for t in thetas]
+        assert [(z.real.hex(), z.imag.hex()) for z in roots_of_unity(n)] == want
 
 
 def test_roots_of_unity_matches_cubic_solver():
