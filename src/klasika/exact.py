@@ -15,11 +15,13 @@ separated, each entry an integer or ``p/q`` fraction.  ``-1,0,-6,8`` is the
 polynomial 8x^3 - 6x - 1.
 
 The gcd, the resultant, the squarefree split and the rational-root search
-run over Z.
+run over Z; the root search reduces each squarefree piece mod a prime p
+and lifts its roots there p-adically.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -460,140 +462,131 @@ def _small_split(piece: list[int]) -> tuple[list[Fraction], list[int]]:
     return [], piece
 
 
+def _taylor_coeffs(g: list[int], r: Fraction, n: int, k: int) -> list[int]:
+    """s**(n-i) * T_i for i < k, T_i the i-th Taylor coefficient at r = p/s of
+    g of degree <= n: k rounds of synthetic division of s**n * g(y/s) by y - p
+    over Z leave the first k final.  T_i = 0 past the degree of g."""
+    p, s = r.numerator, r.denominator
+    a = [c * s ** (n - i) for i, c in enumerate(g)]
+    for i in range(min(k, len(a) - 1)):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += p * a[j + 1]
+    return (a + [0] * k)[:k]
+
+
 def _rational_split(f: Polynomial) -> list[tuple[list[Fraction], list[int]]]:
     """(roots_i, rest_i) for each squarefree piece A_i of f (f nonzero): the
     rational roots of A_i, each of multiplicity i in f, and A_i with each of
-    them divided out once.
-
-    A piece of degree <= 2, from the start or once the positive search has
-    divided out its roots, is solved in closed form (`_small_split`); any
-    other goes through the positive search and then the reflected one."""
+    them divided out once.  A piece of degree <= 2 is solved in closed form
+    (`_small_split`), any other by p-adic expansion (`_padic_split`)."""
     split = []
     for piece in _squarefree(_clear_denominators(f.coeffs)[1]):
         roots = []
         if piece[0] == 0:  # x divides at most one squarefree piece, once
             roots, piece = [Fraction(0)], piece[1:]
-        for sign in (1, -1):  # the positive roots of the piece, then of its reflection
-            if len(piece) <= 3:
-                small, piece = _small_split(piece)
-                roots += small
-                break
-            for r in _positive_root_candidates([c * sign**i for i, c in enumerate(piece)]):
-                if (quotient := _divide(piece, [-sign * r.numerator, r.denominator])) is not None:
-                    roots.append(sign * r)
-                    piece = quotient
-        split.append((sorted(roots), piece))
+        found, rest = (_small_split if len(piece) <= 3 else _padic_split)(piece)
+        split.append((sorted(roots + found), rest))
     return split
 
 
-def _sign_variations(coeffs: Sequence) -> int:
-    """Sign changes along the nonzero entries (Descartes' rule of signs)."""
-    signs = [c > 0 for c in coeffs if c != 0]
-    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+def _padic_split(a: list[int]) -> tuple[list[Fraction], list[int]]:
+    """(roots, rest) for a squarefree piece a over Z with a[0] != 0: its
+    rational roots (R. Loos, SIAM J. Comput. 12, 1983), and a with each of
+    them divided out once.
 
-
-def _taylor_shift(coeffs: Sequence, h, rounds: int | None = None) -> list:
-    """The ascending coefficients of f(x + h), by repeated synthetic division;
-    after k `rounds` only the first k of them are final."""
-    a = list(coeffs)
-    n = len(a) - 1
-    for i in range(n if rounds is None else min(rounds, n)):
-        acc = a[n]
-        for j in range(n - 1, i - 1, -1):
-            acc = a[j] = a[j] + h * acc
-    return a
-
-
-def _taylor_coeffs(g: list[int], r: Fraction, n: int, k: int) -> list[int]:
-    """s**(n-i) * T_i for i < k, T_i the i-th Taylor coefficient at r = p/s of
-    g of degree <= n: k rounds of synthetic division of s**n * g(y/s) by y - p
-    over Z.  T_i = 0 past the degree of g."""
-    p, s = r.numerator, r.denominator
-    return (_taylor_shift([c * s ** (n - i) for i, c in enumerate(g)], p, k) + [0] * k)[:k]
-
-
-def _node_candidates(c: int, k: int, e: int, an: int, a0: int) -> list[Fraction] | None:
-    """The one candidate, or none, in the open interval (c, c+1) * 2**e / 2**k
-    once it holds at most one point of Z/an or of a0/Z (an, a0 > 0); else None.
-
-    By the rational-root theorem a root p/q in lowest terms has q | an and
-    p | a0, so it is both m/an and a0/m' for whole m and m'.
+    A root u/s in lowest terms has u | a0 and s | an.  The walk takes the
+    first odd prime p not dividing an at which every root of a mod p is
+    simple (a large p must leave a squarefree), and u/s is one of them.
+    Newton's step m <- m**2 lifts each to the root mod m > 2*|a0*an| above
+    it, where u/s is the only fraction with |u| <= |a0| and 0 < s <= |an|;
+    the half-extended Euclid on (m, r) finds it and one exact division over
+    Z checks it.  No root mod p, no rational root.
     """
-    lo, hi = c << e, (c + 1) << e
-    first, last = (lo * an >> k) + 1, -(-hi * an >> k) - 1  # the m with lo < m * 2**k / an < hi
-    if first >= last:
-        return [Fraction(first, an)] if first == last else []
-    if c:
-        first, last = (a0 << k) // hi + 1, -(-(a0 << k) // lo) - 1  # the m' with lo < a0 * 2**k / m' < hi
-        if first >= last:
-            return [Fraction(a0, first)] if first == last else []
-    return None
+    a0, an = abs(a[0]), a[-1]
+    bound, p = 2 * a0 * abs(an), 1
+    while True:  # the odd primes in turn; each one passed over divides an * disc(a), which bounds the walk
+        p += 2
+        if an % p and all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            ap = [c % p for c in a]
+            dp = [i * c for i, c in enumerate(ap)][1:]
+            if p <= len(a) * p.bit_length():  # trial costs about p*n steps, x**p mod a about n*n*log p
+                found = [r for r in range(p) if not _horner_int(ap, r) % p]
+                if all(_horner_int(dp, r) % p for r in found):
+                    break
+            elif len(_gcd_p(dp, ap, p)) == 1:  # a is squarefree mod p; g = gcd(a, x**p - x) holds its k roots
+                g = _gcd_p([c - (i == 1) for i, c in enumerate(_x_power_p(p, ap, p) + [0, 0])], ap, p)
+                found = list(itertools.islice((r for r in range(p) if not _horner_int(g, r) % p), len(g) - 1))
+                break
+    top = p ** (int(math.log(bound, p)) + 1)  # the least power of p above bound, from a float guess
+    top *= p if top <= bound else 1
+    roots, rest = [], a
+    for r in found:
+        m = p
+        while m < top:  # r is a root mod m
+            v = d = 0
+            mm = min(m * m, top)
+            for c in reversed(a):  # v = a(r) mod mm and d = a'(r) mod m
+                d, v = (d * r + v) % m, (v * r + c) % mm
+            w = pow(d, -1, m) if m == p else w * (2 - d * w) % m  # 1/a'(r) mod m, by Newton's step too
+            m, r = mm, (r - v * w) % mm
+        r0, r1, t0, t1 = m, r, 0, 1
+        while r1 > a0:  # the remainders r_j = t_j * r mod m, down to the first <= |a0|
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        r = Fraction(r1, t1)
+        if (quotient := _divide(rest, [-r.numerator, r.denominator])) is not None:
+            roots.append(r)
+            rest = quotient
+    return roots, rest
 
 
-def _positive_root_candidates(g: list[int]) -> list[Fraction]:
-    """Fractions among which are all positive rational roots of g (ascending, g[0] != 0).
-
-    Collins-Akritas bisection on (0, 2**e): node (c, k) covers (c, c+1) * 2**e / 2**k
-    and holds a local polynomial whose roots in (0, 1) are g's there, counted
-    by Descartes' rule.  A node with no sign variation is dropped; one with
-    at most one point of Z/an or of a0/Z gives that point, its only possible
-    rational root; one with a single variation is refined by the sign of g,
-    and any other is bisected.  A node at depth e + log2(an) is no wider
-    than 1/an, so no node goes deeper.
-    """
-    # Fujiwara: every root is below 2 * max |g[n-i] / g[n]| ** (1/i) < 2**e
-    an, a0 = abs(g[-1]), abs(g[0])
-    n, top = len(g) - 1, an.bit_length()
-    steps = (-((top - 1 - abs(c).bit_length()) // (n - i)) for i, c in enumerate(g[:-1]))
-    e = max(0, 1 + max(steps, default=-1))
-    found, stack = [], [(0, 0, [c << (e * i) for i, c in enumerate(g)])]
-    while stack:
-        c, k, h = stack.pop()
-        variations = _sign_variations(_taylor_shift(h[::-1], 1))
-        if variations == 0:
-            continue
-        if (candidates := _node_candidates(c, k, e, an, a0)) is not None:
-            found += candidates
-        elif variations == 1:
-            found += _refine(g, c, k, e, h[0] > 0)
-        else:
-            left = [x << (len(h) - 1 - i) for i, x in enumerate(h)]
-            right = _taylor_shift(left, 1)
-            if right[0] == 0:  # the midpoint is a root
-                found.append(Fraction((2 * c + 1) << e, 1 << (k + 1)))
-                while right[0] == 0:
-                    del right[0]
-            stack += [(2 * c, k + 1, left), (2 * c + 1, k + 1, right)]
-    return found
+def _horner_int(f: list[int], x: int) -> int:
+    """f at x over Z, by Horner's rule: `_horner_float` for integers."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
 
 
-def _refine(g: list[int], c: int, k: int, e: int, positive_at_left: bool) -> list[Fraction]:
-    """Sign bisection on g of node (c, k), which holds one simple root, until
-    the node holds at most one candidate or a midpoint is the root.
+def _rem_p(f: list[int], g: list[int], p: int) -> list[int]:
+    """f mod g over F_p, for lists of coefficients ascending and g with no
+    trailing zero; the remainder has none either."""
+    r, n, inv = [c % p for c in f], len(g) - 1, pow(g[-1], -1, p)
+    while len(r) > n:
+        c = r.pop() * inv % p
+        r[len(r) - n :] = [(x - c * y) % p for x, y in zip(r[len(r) - n :], g)]
+    while r and not r[-1]:
+        r.pop()
+    return r
 
-    The right end may be a root, so only the sign at the left end is used.
-    """
-    n, an, a0 = len(g) - 1, abs(g[-1]), abs(g[0])
-    while (candidates := _node_candidates(c, k, e, an, a0)) is None:
-        k, mid, value = k + 1, (2 * c + 1) << e, 0
-        for i in range(n, -1, -1):  # value = g(mid / 2**k) * 2**(k*n), by homogeneous Horner
-            value = value * mid + (g[i] << (k * (n - i)))
-        if value == 0:
-            return [Fraction(mid, 1 << k)]
-        c = 2 * c + ((value > 0) == positive_at_left)
-    return candidates
+
+def _gcd_p(f: list[int], g: list[int], p: int) -> list[int]:
+    """A greatest common divisor of f and g over F_p."""
+    while g:
+        f, g = g, _rem_p(f, g, p)
+    return f
+
+
+def _x_power_p(e: int, g: list[int], p: int) -> list[int]:
+    """x**e mod g over F_p, by squaring, and shifting for each 1 bit of e."""
+    out = [1]
+    for bit in map(int, bin(e)[2:]):
+        square = [0] * (2 * len(out) - 1 + bit)
+        for i, c in enumerate(out):
+            for j, d in enumerate(out):
+                square[i + j + bit] += c * d
+        out = _rem_p(square, g, p)
+    return out
 
 
 def rational_roots(f: Polynomial) -> list[Fraction]:
     """All rational roots of f, with multiplicity, sorted ascending.
 
     f is split over Z into squarefree pieces; a root of the i-th has
-    multiplicity i and, in lowest terms p/q, q | an and p | a0, the piece's
-    leading and constant coefficients.  Exact Descartes bisection narrows
-    each real root until its interval holds at most one point of Z/an or of
-    a0/Z, the one candidate there; one exact division over Z checks it.
-    A piece of degree <= 2 is solved in closed form instead, by an integer
-    square root of its discriminant.  No integer is factored.
+    multiplicity i.  A piece of degree <= 2 is solved by an integer square
+    root of its discriminant, any other by lifting its roots mod a prime p
+    to a p-adic precision set by its leading and constant coefficients.
+    No integer is factored.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every number as a root")

@@ -12,6 +12,8 @@ force v = -a/(3u) rather than taking an independent cube root, so the
 constraint u*v = -a/3 holds to machine precision and u + v is genuinely a
 root; when a = 0 the degenerate pairing u = 0, v = cbrt(-b) is used instead.
 Different admissible cube-root pairings would only permute the root labels.
+At a zero discriminant no cube root is taken: 3b/a and -3b/(2a) twice (0
+three times if a = 0) are shifted back over Q and each converted once.
 
 When the exact discriminant of the depressed cubic is positive all three
 roots are real, so imaginary parts below 1e-9 are dropped and each root gets
@@ -118,31 +120,34 @@ def solve_cubic_cardano(f: Polynomial) -> CubicRoots:
     a, b = dep.poly[1], dep.poly[0]  # y^3 + a*y + b
     radicand = b * b / 4 + a * a * a / 27  # exact; the depressed discriminant is -108 times this
 
-    af, bf = _coeff_float(a), _coeff_float(b)
-    if a == 0:
-        u, v = 0j, complex(_real_cbrt(-bf), 0.0)
+    if radicand == 0:  # Cardano's degenerate case, over Q: a double root, or a triple one when a = 0
+        simple, double = (3 * b / a, -3 * b / (2 * a)) if a else (0, 0)
+        xs = [complex(_coeff_float(y - dep.shift)) for y in (simple, double, double)]
     else:
-        if radicand < 0:
+        af, bf = _coeff_float(a), _coeff_float(b)
+        if a == 0:
+            u = 0j
+        elif radicand < 0:
             u = _principal_cbrt(complex(-bf / 2.0, math.sqrt(_coeff_float(-radicand))))
         else:
             sq = math.sqrt(_coeff_float(radicand))
-            # -b/2 + sq would cancel if b > 0 < sq; rationalize through the exact product of the radicands
-            u3 = af**3 / 27.0 / (bf / 2.0 + sq) if bf > 0 and radicand else -bf / 2.0 + sq
-            u = complex(_real_cbrt(u3), 0.0)
-        v = -af / (3.0 * u)
+            # -b/2 + sq would cancel if b > 0; rationalize through the exact product of the radicands
+            u = complex(_real_cbrt(af**3 / 27.0 / (bf / 2.0 + sq) if bf > 0 else -bf / 2.0 + sq), 0.0)
+        v = -af / (3.0 * u) if a else complex(_real_cbrt(-bf), 0.0)
 
-    ys = [u + v, _OMEGA * u + _OMEGA2 * v, _OMEGA2 * u + _OMEGA * v]
+        ys = [u + v, _OMEGA * u + _OMEGA2 * v, _OMEGA2 * u + _OMEGA * v]
 
-    if radicand < 0:  # the discriminant -108 * radicand is positive
-        # all roots real: each with imaginary noise below 1e-9 drops it and
-        # takes one Newton step on the real axis
-        real = [i for i, y in enumerate(ys) if abs(y.imag) < 1e-9]
-        for i, x in zip(real, _newton(dep.poly, [ys[i].real for i in real], 1)[0]):
-            ys[i] = complex(x, 0.0)
+        if radicand < 0:  # the discriminant -108 * radicand is positive
+            # all roots real: each with imaginary noise below 1e-9 drops it and
+            # takes one Newton step on the real axis
+            real = [i for i, y in enumerate(ys) if abs(y.imag) < 1e-9]
+            for i, x in zip(real, _newton(dep.poly, [ys[i].real for i in real], 1)[0]):
+                ys[i] = complex(x, 0.0)
+        shift = _coeff_float(dep.shift)
+        xs = [y - shift for y in ys]
 
-    shift = _coeff_float(dep.shift)
     tol = residual_tolerance(f)
-    roots, fs = _newton(f, [y - shift for y in ys], 3, tol)  # fs gives abs(f(r)) bit for bit
+    roots, fs = _newton(f, xs, 3, tol)  # fs gives abs(f(r)) bit for bit
     residuals = tuple(abs(_horner_float(fs, r)) for r in roots)
     return CubicRoots(tuple(roots), residuals, tol)
 

@@ -17,6 +17,7 @@ from klasika.roots import residual_tolerance, solve_cubic_cardano
 
 from conftest import convolve, expand_roots, power, recombine, same_ratio
 from test_forms import classify_conic_by_schur, numpy_inertia, transform_conic
+from test_rational_roots import N
 from test_ratfun import apart_terms, recombines_to
 
 
@@ -208,8 +209,8 @@ def test_repeated_irrational_cluster_roots_are_fast():
 
 @pytest.mark.parametrize("value", ["1e-800", "-1e-800"])
 def test_tiny_trisection_cosine_is_fast(value):
-    # 4x^3 - 3x - 10^-800 has a root near -10^-800/3, which the search
-    # narrows only until one point of Z/an or of a0/Z is left
+    # 4x^3 - 3x - 10^-800 has a root near -10^-800/3; the p-adic lift stops
+    # once its modulus passes 2*|a0*an|, whatever the size of the root
     t0 = time.perf_counter()
     result = run(["trisect", value])
     assert time.perf_counter() - t0 < 0.5
@@ -217,7 +218,7 @@ def test_tiny_trisection_cosine_is_fast(value):
 
 
 def test_non_monic_cubic_with_huge_coefficients_is_refused_fast():
-    # (2x - 1)(10^1000 x^2 - 3): each irrational root is narrowed to about 1/an, not 1/(2*an^2)
+    # (2x - 1)(10^1000 x^2 - 3): only the roots mod a small prime are lifted, not the irrational real roots
     t0 = time.perf_counter()
     result = run(["partfrac", "1", "/", "3,-6,-1e1000,2e1000"])
     assert time.perf_counter() - t0 < 1.5
@@ -227,7 +228,7 @@ def test_non_monic_cubic_with_huge_coefficients_is_refused_fast():
 
 def test_quadratic_with_a_huge_constant_is_refused_fast():
     # x^2 - 10^4299: a quadratic piece is solved by an integer square root of its
-    # discriminant, with no bisection tree
+    # discriminant, with no search
     t0 = time.perf_counter()
     result = run(["partfrac", "1", "/", "-1e4299,0,1"])
     assert time.perf_counter() - t0 < 0.5
@@ -236,12 +237,48 @@ def test_quadratic_with_a_huge_constant_is_refused_fast():
 
 
 def test_root_with_huge_an_and_small_a0_is_fast():
-    # (3x - 1)(10^4000 x^2 + 1): Z/an is dense, a0/Z is what isolates 1/3
+    # (3x - 1)(10^4000 x^2 + 1): a 4000-digit an beside a0 = -1
     t0 = time.perf_counter()
     result = run(["partfrac", "1", "/", "-1,3,-1e4000,3e4000"])
     assert time.perf_counter() - t0 < 0.5
     assert result.exit_code == 0
     assert [r for _, r, _ in result.payload["linear_terms"]] == ["1/3"]
+
+
+def test_diagonalize_with_a_tiny_entry_is_fast():
+    # the entry -7e-3040 clears to a characteristic polynomial with 9000-digit
+    # coefficients, whose rational-root search followed their bit lengths (100 s)
+    t0 = time.perf_counter()
+    result = run(["diagonalize", "-4,-1,-6/2,1,-5,-7e-3040"])
+    assert time.perf_counter() - t0 < 2.0
+    assert result.status == "ok" and result.payload["within_tolerance"] is True
+
+
+def test_partfrac_not_squarefree_mod_any_prime_below_10_4_is_fast():
+    # (x - 1)(x^2 - N), N the product of the primes below 10^4: the prime walk
+    # passes over all 1228 odd ones before it can lift a root
+    t0 = time.perf_counter()
+    result = run(["partfrac", "1", "/", f"{N},{-N},-1,1"])
+    assert time.perf_counter() - t0 < 1.5
+    assert result.exit_code == 1
+    assert result.human_text == f"error: residual quadratic x^2 - {N} has irrational real roots"
+
+
+def test_partfrac_with_4000_digit_coefficients_is_fast():
+    # (2x - 1)(10^4000 x^2 - 3)
+    t0 = time.perf_counter()
+    result = run(["partfrac", "1", "/", "3,-6,-1e4000,2e4000"])
+    assert time.perf_counter() - t0 < 0.5
+    assert result.exit_code == 1
+    assert result.human_text == f"error: residual quadratic x^2 - 3/{10**4000} has irrational real roots"
+
+
+def test_partfrac_with_mixed_huge_and_tiny_coefficients_is_fast():
+    # the answer cannot be printed in 4300 digits, but the search before it is fast
+    t0 = time.perf_counter()
+    result = run(["partfrac", "8/5", "/", "-4e-280,-2e-2981,0/6,-9e3160"])
+    assert time.perf_counter() - t0 < 1.5
+    assert result.exit_code == 1
 
 
 def test_degree_64_gcd_is_fast():

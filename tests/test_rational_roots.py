@@ -10,15 +10,19 @@
   roots and what is left of it, which `factor_real` must report as linear
   and quadratic factors, or refuse.
 
-The inputs aim at the squarefree split and the isolation kernel: planted
+The inputs aim at the squarefree split and the p-adic search: planted
 roots of multiplicity up to 4, one irreducible quadratic of multiplicity up
-to 3, dyadic roots that land on bisection midpoints, zero roots, sparse
-terms, Mignotte-type root clusters, and wide coefficients, at degrees up to 24.
+to 3, dyadic roots, zero roots, sparse terms, Mignotte-type root clusters,
+and wide coefficients, at degrees up to 24; leading coefficients that the
+first odd primes divide, and pieces that are not squarefree mod any prime
+below 10**4, so the prime walk must pass over them; and a degree-64 input
+at the argv caps built so that the walk rejects 1020 more primes.
 """
 
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +30,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from klasika import exact
 from klasika.exact import Polynomial, _rational_split, rational_roots
 from klasika.ratfun import RealFactorization, UnsupportedFactorizationError, factor_real
 
@@ -301,3 +306,91 @@ def test_split_puts_each_planted_root_in_its_multiplicity_piece(roots, quadratic
         assert found == sorted(r for r, m in roots if m == i)
         expected_rest = [quadratic[1], quadratic[0], 1] if i == power else [1]
         assert Polynomial(rest).monic() == Polynomial(expected_rest)
+
+
+# -- the p-adic search: the primes it must pass over -----------------------------------
+
+
+def primes_below(n: int) -> list[int]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    return [i for i in range(n) if sieve[i]]
+
+
+PRIMES = primes_below(20000)
+N = math.prod(p for p in PRIMES if p < 10**4)  # 4298 digits, under the 4300-digit input cap
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    roots=st.lists(st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 3, 5, 7, 11, 15, 33, 35, 77, 1155])),
+                   min_size=1, max_size=6, unique=True),
+    noise=st.lists(st.integers(-9, 9), min_size=2, max_size=4),
+    k=st.integers(1, 4),
+)
+def test_planted_roots_under_a_leading_coefficient_that_3_5_7_and_11_divide(roots, noise, k):
+    """The first odd primes divide an, so a root u/s with one of them in s has
+    no image mod that prime; the walk must pass over all four, whether or not
+    the piece stays squarefree mod them."""
+    coeffs = convolve(expand_roots(roots, Fraction(1155 * k)), [Fraction(c) for c in noise] + [Fraction(1)])
+    found = check(coeffs)
+    for r in roots:
+        assert found.count(r) >= 1
+
+
+@settings(deadline=None, max_examples=25)
+@given(u=st.integers(-50, 50).filter(bool), s=st.integers(1, 50), k=st.integers(2, 5), c=st.integers(1, 30))
+def test_pieces_that_are_not_squarefree_mod_any_prime_below_10_4(u, s, k, c):
+    """(s*x - u) * (x^k - c*N), the shape of `partfrac 1 / N,-N,-1,1`: mod each
+    prime below 10**4 the second factor is x^k, a square.  9973 divides c*N
+    once, so c*N is no k-th power and u/s is the only rational root."""
+    coeffs = convolve([Fraction(-u), Fraction(s)], [Fraction(-c * N)] + [Fraction(0)] * (k - 1) + [Fraction(1)])
+    assert rational_roots(Polynomial(coeffs)) == [Fraction(u, s)]
+
+
+def test_many_roots_mod_a_large_prime(monkeypatch):
+    """prod (s_i*x - u_i) over 12 roots, times x^2 + 1, where the s_i share out
+    the odd primes below 200: the walk passes over every one of them, and
+    mod the first prime it can use, 223, the piece has 12 roots.  223 is
+    above 15 times its bit length, so they are read off gcd(a, x^p - x),
+    not found by trial on a."""
+    small = [p for p in PRIMES if 2 < p < 200]
+    roots = [Fraction(u, math.prod(small[i::12])) for i, u in enumerate([-7, -5, -3, -1, 1, 2, 4, 8, 9, 16, 25, 10**6 + 3])]
+    coeffs = convolve(expand_roots(roots), [Fraction(1), Fraction(0), Fraction(1)])
+    used, x_power_p = [], exact._x_power_p
+    monkeypatch.setattr(exact, "_x_power_p", lambda e, g, p: used.append(p) or x_power_p(e, g, p))
+    assert rational_roots(Polynomial(coeffs)) == sorted(roots)
+    assert used == [223]
+
+
+def test_prime_walk_at_the_caps_is_fast(monkeypatch):
+    """N*x^64 + b*x + c0 with b = -64*N*2^63 and c0 = 63*N*2^64 mod M, M the
+    product of the 1020 primes above 10**4 that fit 4250 digits (Chinese
+    remainders): x = 2 is a double root mod each of them, and each prime
+    below 10**4 divides an.  So the walk passes over every prime below
+    19891, each at a gcd mod p for the large ones, before the first that
+    it can use."""
+    big, m = [], 1
+    for p in PRIMES:
+        if p > 10**4:
+            if len(str(m * p)) > 4250:
+                break
+            big.append(p)
+            m *= p
+    assert len(big) == 1020
+    b, c0 = -64 * N * 2**63 % m, 63 * N * 2**64 % m
+    coeffs = [c0, b] + [0] * 62 + [N]
+    for p in big:
+        assert (N * 2**64 + 2 * b + c0) % p == 0 and (64 * N * 2**63 + b) % p == 0
+    used, x_power_p = [], exact._x_power_p
+    monkeypatch.setattr(exact, "_x_power_p", lambda e, g, p: used.append(p) or x_power_p(e, g, p))
+    t0 = time.perf_counter()
+    split = _rational_split(Polynomial(coeffs))
+    elapsed = time.perf_counter() - t0
+    assert used == [19891] and big[-1] == 19889
+    assert [roots for roots, _ in split] == [[]]
+    assert Polynomial(split[0][1]).monic() == Polynomial(coeffs).monic()
+    assert elapsed < 2.5

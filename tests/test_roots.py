@@ -3,6 +3,9 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klasika.disc import discriminant_resultant
 from klasika.exact import Polynomial
@@ -15,7 +18,7 @@ from klasika.roots import (
     solve_quadratic,
 )
 
-from conftest import power, rand_coeffs, rand_fraction
+from conftest import convolve, expand_roots, power, rand_coeffs, rand_fraction
 
 EPS_CUBE = complex(-0.5, math.sqrt(3) / 2)
 
@@ -152,6 +155,46 @@ def test_cardano_discriminant_sign_is_minus_radicand_sign(rng):
         assert sign == -((radicand > 0) - (radicand < 0))
         signs.add(sign)
     assert signs == {-1, 0, 1}
+
+
+small_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    lead=st.integers(-9, 9).filter(bool),
+    shape=st.sampled_from(["distinct", "double", "triple", "quadratic"]),
+    r=st.tuples(small_fractions, small_fractions, small_fractions),
+)
+def test_cardano_root_shape_follows_the_exact_discriminant(lead, shape, r):
+    """Planted cubics: three real roots, a double or triple one, or a rational
+    root times x^2 + p*x + q (a complex pair, an irrational pair, or a double
+    root when p^2 = 4q).  A root is real when its imaginary part is exactly 0:
+    all three are when the depressed discriminant is >= 0, one when it is < 0.
+    At 0 each repeated root appears as often as its multiplicity, bit for
+    bit.  sympy's exact roots check the values."""
+    if shape == "quadratic":
+        coeffs = convolve(expand_roots(r[:1], Fraction(lead)), [r[2], r[1], Fraction(1)])
+    else:
+        coeffs = expand_roots({"distinct": r, "double": r[:2] + r[:1], "triple": r[:1] * 3}[shape], Fraction(lead))
+    f = Polynomial(coeffs)
+    dep = depress(f)
+    a, b = dep.poly[1], dep.poly[0]
+    delta = -(4 * a**3 + 27 * b**2)
+    found = solve_cubic_cardano(f).roots
+    assert sum(z.imag == 0 for z in found) == (3 if delta >= 0 else 1)
+    x = sympy.Symbol("x")
+    exact = sympy.roots(sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x))
+    if delta == 0:
+        bits = [(z.real.hex(), z.imag.hex()) for z in found]
+        assert sorted(bits.count(z) for z in set(bits)) == sorted(exact.values())
+    unmatched = list(found)
+    for root, mult in exact.items():
+        want = complex(sympy.N(root, 30))
+        for _ in range(mult):
+            z = min(unmatched, key=lambda z: abs(z - want))
+            assert abs(z - want) <= 1e-9 * (1 + abs(want))
+            unmatched.remove(z)
 
 
 def test_cardano_repeated_roots():
