@@ -40,6 +40,7 @@ from fractions import Fraction
 
 from . import _EXPORTS
 from .exact import Polynomial, RationalLike, _as_fraction, _clear_denominators, _resultant_z
+from .exact import _CERTIFYING_PRIME, _squarefree_mod
 
 __all__ = list(_EXPORTS["disc"])
 
@@ -317,10 +318,16 @@ def discriminant_hankel(f: Polynomial) -> Fraction:
 
 
 def has_repeated_roots(f: Polynomial) -> bool:
-    """True iff f has a repeated root, i.e. iff its discriminant vanishes."""
+    """True iff f has a repeated root, i.e. iff its discriminant vanishes.
+
+    f squarefree mod the prime 32749, which does not divide its leading
+    coefficient, proves the answer False at once; only otherwise is the
+    discriminant computed, by the resultant route, and tested for zero.
+    """
     if f.is_zero:
         raise ValueError("the zero polynomial has no repeated-root predicate")
     n = f.degree
     if n < 1:
         raise ValueError("repeated-root test requires degree >= 1")
-    return n > 1 and discriminant_resultant(f) == 0
+    ints = _clear_denominators(f.coeffs)[1]
+    return n > 1 and not _squarefree_mod(ints, _CERTIFYING_PRIME) and discriminant_resultant(f) == 0

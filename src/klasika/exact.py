@@ -16,7 +16,11 @@ polynomial 8x^3 - 6x - 1.
 
 The gcd, the resultant, the squarefree split and the rational-root search
 run over Z; the root search reduces each squarefree piece mod a prime p
-and lifts its roots there p-adically.
+and lifts its roots there p-adically.  The squarefree split, and
+`disc.has_repeated_roots`, first reduce f mod one fixed prime: f squarefree
+there is squarefree over Q, so the common answer needs neither a gcd nor
+a resultant over Z, and every other answer still comes from the exact
+route.
 """
 
 from __future__ import annotations
@@ -424,9 +428,12 @@ def _resultant_z(f: list[int], g: list[int]) -> int:
 def _squarefree(f: list[int]) -> list[list[int]]:
     """Squarefree A_1, A_2, ..., A_m (some of them constant) with
     f = c * prod A_i**i.  A line, or a quadratic or cubic whose discriminant
-    is nonzero, is its own only piece; any other f takes Musser's
+    is nonzero, is its own only piece, and so is f of degree >= 4 that is
+    squarefree mod the prime `_CERTIFYING_PRIME`; any other f takes Musser's
     repeated-gcd form of the split, in which every division is exact."""
     if len(f) == 2 or 3 <= len(f) <= 4 and _discriminant_small(f):
+        return [f]
+    if len(f) > 4 and _squarefree_mod(f, _CERTIFYING_PRIME):
         return [f]
     g = _gcd_z(f, [i * c for i, c in enumerate(f)][1:])  # prod A_i**(i-1)
     w, pieces = _divide(f, g), []
@@ -508,12 +515,12 @@ def _padic_split(a: list[int]) -> tuple[list[Fraction], list[int]]:
         p += 2
         if an % p and all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
             ap = [c % p for c in a]
-            dp = [i * c for i, c in enumerate(ap)][1:]
             if p <= len(a) * p.bit_length():  # trial costs about p*n steps, x**p mod a about n*n*log p
                 found = [r for r in range(p) if not _horner_int(ap, r) % p]
+                dp = [i * c for i, c in enumerate(ap)][1:]
                 if all(_horner_int(dp, r) % p for r in found):
                     break
-            elif len(_gcd_p(dp, ap, p)) == 1:  # a is squarefree mod p; g = gcd(a, x**p - x) holds its k roots
+            elif _squarefree_mod(ap, p):  # g = gcd(a, x**p - x) holds the k roots of a mod p
                 g = _gcd_p([c - (i == 1) for i, c in enumerate(_x_power_p(p, ap, p) + [0, 0])], ap, p)
                 found = list(itertools.islice((r for r in range(p) if not _horner_int(g, r) % p), len(g) - 1))
                 break
@@ -558,6 +565,20 @@ def _rem_p(f: list[int], g: list[int], p: int) -> list[int]:
     while r and not r[-1]:
         r.pop()
     return r
+
+
+# The largest prime below 2**15: residues and their products stay single-digit (30-bit) ints.
+_CERTIFYING_PRIME = 32749
+
+
+def _squarefree_mod(f: list[int], p: int) -> bool:
+    """Whether f over Z is squarefree mod the prime p, with p not dividing
+    its leading coefficient.  Then f is squarefree over Q too: a primitive
+    common factor of f and f' over Z divides f, so its leading coefficient
+    divides f's (Gauss's lemma), and mod p it stays a common factor of the
+    same degree (Brown 1971; Musser 1971)."""
+    fp = [c % p for c in f]
+    return fp[-1] != 0 and len(_gcd_p([i * c for i, c in enumerate(fp)][1:], fp, p)) == 1
 
 
 def _gcd_p(f: list[int], g: list[int], p: int) -> list[int]:

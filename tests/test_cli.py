@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -302,6 +303,19 @@ def test_degree_64_repeated_is_fast():
     assert time.perf_counter() - t0 < 0.25
     assert result.status == "ok"
     assert result.payload["has_repeated_roots"] is False
+
+
+def test_degree_64_repeated_with_4300_digit_coefficients_is_fast():
+    # k*10^j coefficients up to j = 4299 in a 437-byte argv: f is squarefree mod
+    # 32749, which proves the answer; its resultant runs for over two minutes
+    argv = ",".join(f"{i % 9 + 1}e{4299 - 67 * i}" for i in range(65))
+    t0 = time.perf_counter()
+    result = run(["repeated", argv])
+    assert time.perf_counter() - t0 < 1.0
+    assert result.payload["has_repeated_roots"] is False
+    coeffs = [int(c) for c in Polynomial.from_text(argv)]
+    reduced = sympy.Poly(coeffs[::-1], sympy.Symbol("x"), modulus=32749)
+    assert reduced.degree() == 64 and reduced.is_sqf
 
 
 def test_degree_64_discriminant_resultant_is_fast():

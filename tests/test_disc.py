@@ -533,7 +533,7 @@ def test_has_repeated_roots_examples():
         has_repeated_roots(Polynomial([5]))
 
 
-def test_repeated_roots_matches_gcd_criterion(rng):
+def test_repeated_roots_matches_gcd_criterion(rng, monkeypatch):
     for k in range(1000):
         f = Polynomial(rand_coeffs(rng, rng.randint(2, 5)))
         if k % 3 == 0:  # plant a square factor
@@ -552,6 +552,23 @@ def test_repeated_roots_matches_gcd_criterion(rng):
         by_gcd = poly_gcd(f, f.derivative()).degree >= 1
         assert by_gcd == bool(k % 2)
         assert has_repeated_roots(f) == by_gcd
+    # squarefree mod 32749 proves "no repeated root" only when 32749 does not
+    # divide the leading coefficient: (32749x - 1)^2 (x - 2) is x - 2 mod 32749,
+    # and (x - 1)(x - 32750), squarefree over Q, is (x - 1)^2 mod 32749.  Both
+    # are answered by the resultant, alone or beside x^2 + 1; x^2 - 2 is not.
+    calls, resultant_route = [], disc.discriminant_resultant
+    monkeypatch.setattr(disc, "discriminant_resultant", lambda f: calls.append(f) or resultant_route(f))
+    cases = [
+        (power(Polynomial([-1, 32749]), 2) * Polynomial([-2, 1]), True, True),
+        (Polynomial([-1, 1]) * Polynomial([-32750, 1]), False, True),
+        (Polynomial([-2, 0, 1]), False, False),
+    ]
+    for f, repeated, by_resultant in cases:
+        for g in (f, f * Polynomial([1, 0, 1])):
+            calls.clear()
+            assert (poly_gcd(g, g.derivative()).degree >= 1) is repeated
+            assert has_repeated_roots(g) is repeated
+            assert calls == ([g] if by_resultant else [])
 
 
 def test_translation_invariance(rng):

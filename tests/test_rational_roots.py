@@ -308,6 +308,16 @@ def test_split_puts_each_planted_root_in_its_multiplicity_piece(roots, quadratic
         assert Polynomial(rest).monic() == Polynomial(expected_rest)
 
 
+def test_split_leaves_what_is_not_squarefree_mod_32749_to_the_gcds():
+    """A piece of degree >= 4 squarefree mod 32749 is its own only piece, but
+    only when 32749 does not divide its leading coefficient.  (32749x - 1)^2
+    (x - 2) is x - 2 mod 32749, and (x - 1)(x - 32750), squarefree over Q, is
+    (x - 1)^2 mod 32749; beside x^2 + 1 both reach that test in the split."""
+    for roots in ([Fraction(1, 32749), Fraction(1, 32749), Fraction(2)], [Fraction(1), Fraction(32750)]):
+        for extra in ([Fraction(1)], [Fraction(1), Fraction(0), Fraction(1)]):
+            check(convolve(expand_roots(roots), extra), roots)
+
+
 # -- the p-adic search: the primes it must pass over -----------------------------------
 
 
@@ -394,3 +404,22 @@ def test_prime_walk_at_the_caps_is_fast(monkeypatch):
     assert [roots for roots, _ in split] == [[]]
     assert Polynomial(split[0][1]).monic() == Polynomial(coeffs).monic()
     assert elapsed < 2.5
+
+
+def test_twelve_roots_whose_denominators_share_out_the_primes_below_10_4_are_fast():
+    """(x^2 + 1) * prod (s_i*x - u_i) over 12 roots, where the s_i share out
+    the primes below 10**4: coefficients up to 4298 digits, a 36 KB argv.  It
+    is squarefree mod 32749, so the squarefree split needs none of Musser's
+    gcds over Z, which take 8 s on it."""
+    small = [p for p in PRIMES if p < 10**4]
+    roots = [Fraction(u, math.prod(small[i::12])) for i, u in enumerate([-7, -5, -3, -1, 1, 2, 4, 8, 9, 16, 25, 10**6 + 3])]
+    coeffs = [1, 0, 1]
+    for r in roots:
+        coeffs = convolve(coeffs, [-r.numerator, r.denominator])
+    f = Polynomial(coeffs)
+    assert max(len(str(c)) for c in coeffs) == 4298 and 35000 < len(f.to_text()) < 37000
+    t0 = time.perf_counter()
+    found = rational_roots(f)
+    elapsed = time.perf_counter() - t0
+    assert found == sorted(roots)
+    assert elapsed < 2.0
