@@ -15,12 +15,13 @@ separated, each entry an integer or ``p/q`` fraction.  ``-1,0,-6,8`` is the
 polynomial 8x^3 - 6x - 1.
 
 The gcd, the resultant, the squarefree split and the rational-root search
-run over Z; the root search reduces each squarefree piece mod a prime p
+run over Z.  A gcd is first read off one integer gcd of the values at an
+evaluation point, and checked by exact division, which also gives both
+cofactors; the root search reduces each squarefree piece mod a prime p
 and lifts its roots there p-adically.  The squarefree split, and
 `disc.has_repeated_roots`, first reduce f mod one fixed prime: f squarefree
-there is squarefree over Q, so the common answer needs neither a gcd nor
-a resultant over Z, and every other answer still comes from the exact
-route.
+there is squarefree over Q, so the common answer needs no gcd over Z, and
+every other answer still comes from the exact route.
 """
 
 from __future__ import annotations
@@ -342,11 +343,11 @@ def _clear_denominators(values: Iterable[Fraction]) -> tuple[int, list[int]]:
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic greatest common divisor, by the primitive remainder sequence over Z."""
+    """Monic greatest common divisor, by the heuristic gcd over Z (`_gcd_z`)."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     ints = [_clear_denominators(p.coeffs)[1] for p in (f, g)]
-    return Polynomial(_gcd_z(*ints)).monic()
+    return Polynomial(_gcd_z(*ints)[0]).monic()
 
 
 # -- gcd, squarefree split and rational roots over Z (integer lists, ascending) --
@@ -385,7 +386,51 @@ def _prem(f: list[int], g: list[int]) -> list[int]:
     return r
 
 
-def _gcd_z(f: list[int], g: list[int]) -> list[int]:
+def _gcd_z(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(G, f/G, g/G) for G a primitive gcd of f and g over Z, not both zero,
+    by the heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symbolic
+    Comput. 7, 1989; proof corrected by Liao and Fateman, 1995).
+
+    For nonconstant f and g it evaluates both at an integer xi at least
+    2*min(|f|, |g|) + 29 (max norms), reads gcd(f(xi), g(xi)) back as a
+    polynomial H in symmetric xi-adic digits, and accepts h, the primitive
+    part of H, when h divides f and g over Z.  Then h is the gcd.  For h
+    divides the primitive gcd G, say G = h*K, and G(xi) divides both
+    values, so h(xi)*K(xi) divides H(xi) = c*h(xi), c the content of H.
+    A nonconstant K divides the input of smaller norm, say f, so its roots,
+    like all of f's, lie inside Cauchy's bound rho = 1 + |f|/|lc f|, which
+    is below xi/2 - 13: h(xi) != 0, and |K(xi)| >= (xi - rho)**deg K > xi/2.
+    Yet |K(xi)| <= |c| <= xi/2, since c divides the nonzero digits of H.
+    So K is a primitive constant, +-1.
+
+    A candidate fails only when extra common factors of the two values, or
+    coefficients of G past xi/2, garble the digits; xi then grows, and after
+    six points, or for a zero or constant argument, Brown's primitive
+    remainder sequence `_gcd_prs` gives G.
+    """
+    if len(f) > 1 and len(g) > 1:
+        xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+        for _ in range(6):
+            h = _primitive(_symmetric_digits(math.gcd(_horner_int(f, xi), _horner_int(g, xi)), xi))
+            if (f_h := _divide(f, h)) is not None and (g_h := _divide(g, h)) is not None:
+                return h, f_h, g_h
+            xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011  # CGG's growth, about 2.7 * xi**1.25
+    h = _gcd_prs(f, g)
+    return h, _divide(f, h), _divide(g, h)
+
+
+def _symmetric_digits(n: int, xi: int) -> list[int]:
+    """H with H(xi) = n and every coefficient in (-xi/2, xi/2], ascending."""
+    digits = []
+    while n:
+        d = n % xi
+        d -= xi if 2 * d > xi else 0
+        digits.append(d)
+        n = (n - d) // xi
+    return digits
+
+
+def _gcd_prs(f: list[int], g: list[int]) -> list[int]:
     """Primitive gcd of f and g, not both zero: Brown's primitive remainder
     sequence, whose every step keeps the primitive part of a pseudo-remainder."""
     while g:
@@ -430,17 +475,17 @@ def _squarefree(f: list[int]) -> list[list[int]]:
     f = c * prod A_i**i.  A line, or a quadratic or cubic whose discriminant
     is nonzero, is its own only piece, and so is f of degree >= 4 that is
     squarefree mod the prime `_CERTIFYING_PRIME`; any other f takes Musser's
-    repeated-gcd form of the split, in which every division is exact."""
+    repeated-gcd form of the split, whose quotients are the cofactors that
+    each `_gcd_z` returns."""
     if len(f) == 2 or 3 <= len(f) <= 4 and _discriminant_small(f):
         return [f]
     if len(f) > 4 and _squarefree_mod(f, _CERTIFYING_PRIME):
         return [f]
-    g = _gcd_z(f, [i * c for i, c in enumerate(f)][1:])  # prod A_i**(i-1)
-    w, pieces = _divide(f, g), []
+    g, w, _ = _gcd_z(f, [i * c for i, c in enumerate(f)][1:])  # prod A_i**(i-1) and prod A_i
+    pieces = []
     while len(w) > 1:  # w = prod A_j over j >= i
-        y = _gcd_z(w, g)
-        pieces.append(_divide(w, y))
-        w, g = y, _divide(g, y)
+        w, piece, g = _gcd_z(w, g)
+        pieces.append(piece)
     return pieces
 
 

@@ -318,6 +318,21 @@ def test_degree_64_repeated_with_4300_digit_coefficients_is_fast():
     assert reduced.degree() == 64 and reduced.is_sqf
 
 
+def test_degree_64_repeated_with_32749_dividing_the_leading_coefficient_is_fast():
+    # the argv above with its leading 2e11 replaced by 65498e11 = 32749 * 2e11:
+    # mod 32749 the degree drops, so the certificate cannot decide, and gcd(f, f')
+    # over Z answers (the resultant route ran for more than 130 s)
+    argv = ",".join(f"{i % 9 + 1}e{4299 - 67 * i}" for i in range(64)) + ",65498e11"
+    t0 = time.perf_counter()
+    result = run(["repeated", argv])
+    assert time.perf_counter() - t0 < 4.0
+    assert result.payload["has_repeated_roots"] is False
+    coeffs = [int(c) for c in Polynomial.from_text(argv)][::-1]
+    assert sympy.Poly(coeffs, sympy.Symbol("x"), modulus=32749).degree() == 63
+    reduced = sympy.Poly(coeffs, sympy.Symbol("x"), modulus=32719)  # squarefree mod 32719 proves the answer
+    assert reduced.degree() == 64 and reduced.is_sqf
+
+
 def test_degree_64_discriminant_resultant_is_fast():
     f = _cap_polynomial()
     t0 = time.perf_counter()

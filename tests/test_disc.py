@@ -555,20 +555,22 @@ def test_repeated_roots_matches_gcd_criterion(rng, monkeypatch):
     # squarefree mod 32749 proves "no repeated root" only when 32749 does not
     # divide the leading coefficient: (32749x - 1)^2 (x - 2) is x - 2 mod 32749,
     # and (x - 1)(x - 32750), squarefree over Q, is (x - 1)^2 mod 32749.  Both
-    # are answered by the resultant, alone or beside x^2 + 1; x^2 - 2 is not.
-    calls, resultant_route = [], disc.discriminant_resultant
-    monkeypatch.setattr(disc, "discriminant_resultant", lambda f: calls.append(f) or resultant_route(f))
+    # are answered by gcd(f, f') over Z, alone or beside x^2 + 1; x^2 - 2 is not.
+    calls, gcd_route = [], disc._gcd_z
+    monkeypatch.setattr(disc, "_gcd_z", lambda f, g: calls.append((f, g)) or gcd_route(f, g))
     cases = [
         (power(Polynomial([-1, 32749]), 2) * Polynomial([-2, 1]), True, True),
         (Polynomial([-1, 1]) * Polynomial([-32750, 1]), False, True),
         (Polynomial([-2, 0, 1]), False, False),
     ]
-    for f, repeated, by_resultant in cases:
+    for f, repeated, by_gcd in cases:
         for g in (f, f * Polynomial([1, 0, 1])):
             calls.clear()
             assert (poly_gcd(g, g.derivative()).degree >= 1) is repeated
+            assert (discriminant_resultant(g) == 0) is repeated
             assert has_repeated_roots(g) is repeated
-            assert calls == ([g] if by_resultant else [])
+            ints = [int(c) for c in g]
+            assert calls == ([(ints, [k * c for k, c in enumerate(ints)][1:])] if by_gcd else [])
 
 
 def test_translation_invariance(rng):

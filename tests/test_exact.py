@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klasika.exact import Polynomial, _fraction_from_text, poly_gcd, rational_roots
+from klasika import exact
+from klasika.exact import Polynomial, _fraction_from_text, _gcd_prs, _gcd_z, poly_gcd, rational_roots
 
 from conftest import convolve, difference, expand_roots, power, rand_coeffs, rand_fraction
 
@@ -167,6 +170,76 @@ def test_gcd_divides_both_exactly(rng):
         assert d == sympy_gcd(f, g) == poly_gcd(g, f)
         assert f % d == Polynomial()
         assert g % d == Polynomial()
+
+
+def product(a: list[int], b: list[int]) -> list[int]:
+    return [int(c) for c in convolve(a, b)]
+
+
+def sympy_primitive_gcd(f: list[int], g: list[int]) -> list[int]:
+    """The primitive part of sympy's gcd over Z, ascending, as plain ints."""
+    x = sympy.Symbol("x")
+    d = sympy.gcd(sympy.Poly(f[::-1] or [0], x, domain="ZZ"), sympy.Poly(g[::-1] or [0], x, domain="ZZ"))
+    return [int(c) for c in reversed(d.primitive()[1].all_coeffs())]
+
+
+def check_gcd_z(f: list[int], g: list[int]) -> list[int]:
+    """_gcd_z(f, g) is (G, f/G, g/G) with G primitive and +-sympy's gcd; so is
+    the fallback `_gcd_prs` on its own.  Returns G."""
+    G, f_G, g_G = _gcd_z(f, g)
+    assert product(G, f_G) == f and product(G, g_G) == g
+    assert math.gcd(*G) == 1
+    expected = sympy_primitive_gcd(f, g)
+    assert G in (expected, [-c for c in expected])
+    assert _gcd_prs(f, g) in (expected, [-c for c in expected])
+    return G
+
+
+@st.composite
+def integer_polys(draw, min_size=0):
+    """Up to degree 4, each of its coefficients up to 10**k in magnitude,
+    k one of 1, 3, 30 or 300; no trailing zero."""
+    size = 10 ** draw(st.sampled_from([1, 3, 30, 300]))
+    coeffs = draw(st.lists(st.integers(-size, size), min_size=min_size, max_size=5))
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+@settings(deadline=None, max_examples=300)
+@given(common=integer_polys(min_size=1), a=integer_polys(), b=integer_polys())
+def test_gcd_z_over_planted_common_factors(common, a, b):
+    """f = common * a and g = common * b: the gcd is common * gcd(a, b) up to
+    content, whatever the coefficient sizes; a zero or constant a, b or
+    common makes a zero or constant argument, which takes the fallback."""
+    f, g = product(common, a), product(common, b)
+    if f or g:
+        check_gcd_z(f, g)
+
+
+@pytest.mark.parametrize("f, g, first", [
+    # xi = 47: the values' gcd is 7*(4*47 + 1), whose digit 28 lies past 47/2, so the
+    # candidate divides neither 7*(4x + 1) nor (4x + 1)(x + 2)
+    ([7, 28], [2, 9, 4], [7, -19, 1]),
+    # xi = 41: the values' gcd is 42*41, whose candidate x(x + 1) divides 6x(x + 1) but not 42x
+    ([0, 6, 6], [0, 42], [0, 1, 1]),
+])
+def test_gcd_z_rejects_a_first_candidate_that_does_not_divide_both(f, g, first):
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    assert exact._symmetric_digits(math.gcd(exact._horner_int(f, xi), exact._horner_int(g, xi)), xi) == first
+    assert exact._divide(g, first) is None
+    assert check_gcd_z(f, g) == sympy_primitive_gcd(f, g)
+
+
+def test_gcd_z_falls_back_to_the_remainder_sequence_when_every_point_fails(monkeypatch):
+    """Digits that never divide (here x**9 - 1) fail all six points; the
+    answer then comes from `_gcd_prs`."""
+    points = []
+    monkeypatch.setattr(exact, "_symmetric_digits", lambda n, xi: points.append(xi) or [-1] + [0] * 8 + [1])
+    f = product([-2, 1], [-5, 3, 15, 9, 3])
+    g = product([-2, 1], [7, 1])
+    assert check_gcd_z(f, g) in ([-2, 1], [2, -1])
+    assert len(points) == 6 and points == sorted(set(points))
 
 
 def test_ring_distributivity_500_triples(rng):

@@ -406,20 +406,42 @@ def test_prime_walk_at_the_caps_is_fast(monkeypatch):
     assert elapsed < 2.5
 
 
+TWELVE_ROOTS = [
+    Fraction(u, math.prod([p for p in PRIMES if p < 10**4][i::12]))
+    for i, u in enumerate([-7, -5, -3, -1, 1, 2, 4, 8, 9, 16, 25, 10**6 + 3])
+]
+
+
+def twelve_roots_beside_x2_plus_1() -> list[int]:
+    coeffs = [1, 0, 1]
+    for r in TWELVE_ROOTS:
+        coeffs = convolve(coeffs, [-r.numerator, r.denominator])
+    return coeffs
+
+
 def test_twelve_roots_whose_denominators_share_out_the_primes_below_10_4_are_fast():
     """(x^2 + 1) * prod (s_i*x - u_i) over 12 roots, where the s_i share out
     the primes below 10**4: coefficients up to 4298 digits, a 36 KB argv.  It
     is squarefree mod 32749, so the squarefree split needs none of Musser's
     gcds over Z, which take 8 s on it."""
-    small = [p for p in PRIMES if p < 10**4]
-    roots = [Fraction(u, math.prod(small[i::12])) for i, u in enumerate([-7, -5, -3, -1, 1, 2, 4, 8, 9, 16, 25, 10**6 + 3])]
-    coeffs = [1, 0, 1]
-    for r in roots:
-        coeffs = convolve(coeffs, [-r.numerator, r.denominator])
-    f = Polynomial(coeffs)
-    assert max(len(str(c)) for c in coeffs) == 4298 and 35000 < len(f.to_text()) < 37000
+    f = Polynomial(twelve_roots_beside_x2_plus_1())
+    assert max(len(str(c)) for c in f) == 4298 and 35000 < len(f.to_text()) < 37000
     t0 = time.perf_counter()
     found = rational_roots(f)
     elapsed = time.perf_counter() - t0
-    assert found == sorted(roots)
+    assert found == sorted(TWELVE_ROOTS)
+    assert elapsed < 2.0
+
+
+def test_twelve_roots_times_a_square_are_fast():
+    """The q above times (x - 2)^2 (coefficients up to 4299 digits) is not
+    squarefree, so Musser's loop runs over Z: gcd(q, q') and the rest are
+    heuristic gcds at one evaluation point each (16 s by Brown's remainder
+    sequence)."""
+    coeffs = convolve(twelve_roots_beside_x2_plus_1(), [4, -4, 1])
+    assert max(len(str(abs(c))) for c in coeffs) == 4299
+    t0 = time.perf_counter()
+    found = rational_roots(Polynomial(coeffs))
+    elapsed = time.perf_counter() - t0
+    assert found == sorted(TWELVE_ROOTS + [2, 2])
     assert elapsed < 2.0
