@@ -29,8 +29,9 @@ pass with row swaps: `determinant` reads its last pivot, and `_null_vector`
 back-substitutes the null vectors of `solve_linear_system` and `forms`.  The
 symmetric one serves the Hankel route and `forms._inertia`, the integer core
 that `forms.inertia` and both form classifiers share: it updates only the
-upper triangle, and it finds pivots by congruences, which keep the symmetry,
-determinant and inertia.
+upper triangle, eliminates two rows per pass wherever both pivots are
+nonzero (Bareiss's two-step method), and finds the other pivots by
+congruences, which keep the symmetry, determinant and inertia.
 """
 
 from __future__ import annotations
@@ -177,6 +178,22 @@ def _symmetric_pivots(rows: Sequence[Sequence[int]], extra: int) -> list[int]:
     the first also divides by ``extra``, which the caller must know to be exact
     for the minors on any k distinct rows and columns: the k-th pivot is the
     k-th leading minor of the congruent kept rows over extra**((k-1)(k-2)/2).
+
+    Two steps are taken in one pass (Bareiss 1968) whenever the next pivot
+    c = (p * d - b * b) // prev is nonzero too, for b = a[r][r+1] and
+    d = a[r+1][r+1]; otherwise row r + 1 may need a congruence, and one step
+    is taken.  With y = a[r][i], z = a[r+1][i] and the multipliers
+    g = (d * y - b * z) // prev and h = (p * z - b * y) // prev, the pass sets
+    a[i][j] = (c * a[i][j] - g * a[r][j] - h * a[r+1][j]) // (prev * extra)
+    for r + 1 < i <= j, which is the entry after both steps: h is entry
+    (r+1, i) after the first, and h * b - c * y = -p * g, so the second
+    step's numerator is p / prev times this one and its divisor p * extra.
+    g is exact too: d * y - b * z is a 2 x 2 minor of the matrix before step
+    r, by Sylvester's identity the leading minor M_r times an (r+2)-rowed
+    minor N of the input over extra**(r(r-1)); as prev is M_r over
+    extra**((r-1)(r-2)/2 - 1), g is N over extra**(r(r+1)/2), which is the
+    power the caller's promise lets N lose (for r = 0, prev is 1).  Dividing
+    g and h by prev first keeps the update's products half as long.
     """
     u = [list(row[i:]) for i, row in enumerate(rows)]
     pivots: list[int] = []
@@ -187,6 +204,17 @@ def _symmetric_pivots(rows: Sequence[Sequence[int]], extra: int) -> list[int]:
         top = u[r]
         p = top[0]
         prev = pivots[-1] * extra if pivots else 1
+        if r + 1 < len(u):
+            nxt = u[r + 1]
+            d, b = nxt[0], top[1]
+            if c := (p * d - b * b) // prev:
+                den = prev * extra
+                for i in range(r + 2, len(u)):
+                    y, z = top[i - r], nxt[i - r - 1]
+                    g, h = (d * y - b * z) // prev, (p * z - b * y) // prev
+                    u[i] = [(c * x - g * s - h * t) // den for x, s, t in zip(u[i], top[i - r :], nxt[i - r - 1 :])]
+                pivots += (p, c)
+                continue
         for i in range(r + 1, len(u)):
             f = top[i - r]
             u[i] = [(p * x - f * y) // prev for x, y in zip(u[i], top[i - r :])]
@@ -302,7 +330,8 @@ def discriminant_hankel(f: Polynomial) -> Fraction:
     Cauchy-Binet a symmetric integer polynomial in the roots of degree at most
     max R + max C in each, which a**(max R + max C) makes integral.  So a
     k-rowed minor of [T] is divisible by a**((k-1)(k-2)) whatever the rows,
-    and every Bareiss step after the first may divide by a**2 as well.  The
+    and every Bareiss step after the first may divide by a**2 as well; so may
+    the multipliers of a two-step pass, which are minors too.  The
     congruences that replace a zero pivot turn each minor into a sum of minors
     on distinct rows and columns, so the division stays exact after them.
 

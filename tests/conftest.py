@@ -8,6 +8,10 @@ factorization and a partial-fraction decomposition, and `difference` takes
 a - b.  Likewise `identity`/`transpose`/`matmul` work on plain lists of
 rows, and `form_value` evaluates a quadratic form from its stored
 coefficients.  `power` builds f^n from repeated products.
+`one_step_symmetric_pivots` is the symmetric Bareiss elimination with one
+row per step, the reference whose pivots `disc._symmetric_pivots` must
+equal; it shares only `disc._repivot`, the congruence both take at a zero
+pivot.
 """
 
 import math
@@ -15,6 +19,8 @@ import random
 from fractions import Fraction
 
 import pytest
+
+from klasika.disc import _repivot
 
 try:
     from hypothesis import settings
@@ -142,6 +148,26 @@ def form_value(form, *point):
         return form.a * x * x + form.b * x * y + form.c * y * y
     rows = [[form.a, form.d, form.e], [form.d, form.b, form.f], [form.e, form.f, form.c]]
     return sum(rows[i][j] * point[i] * point[j] for i in range(3) for j in range(3))
+
+
+def one_step_symmetric_pivots(rows, extra) -> list[int]:
+    """The pivots of the fraction-free elimination of a symmetric integer
+    matrix, one row per step: (p * x - f * y) // prev on the upper triangle,
+    a zero pivot replaced by `_repivot` and a zero row dropped."""
+    u = [list(row[i:]) for i, row in enumerate(rows)]
+    pivots = []
+    while (r := len(pivots)) < len(u):
+        if not u[r][0] and not _repivot(u, r):
+            del u[r]
+            continue
+        top = u[r]
+        p = top[0]
+        prev = pivots[-1] * extra if pivots else 1
+        for i in range(r + 1, len(u)):
+            f = top[i - r]
+            u[i] = [(p * x - f * y) // prev for x, y in zip(u[i], top[i - r :])]
+        pivots.append(p)
+    return pivots
 
 
 @pytest.fixture

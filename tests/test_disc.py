@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.subresultants_qq_zz import sylvester
 
 from klasika import disc
@@ -21,7 +22,15 @@ from klasika.disc import (
 )
 from klasika.exact import Polynomial, poly_gcd
 
-from conftest import convolve, expand_roots, identity, power, rand_coeffs, rand_fraction
+from conftest import (
+    convolve,
+    expand_roots,
+    identity,
+    one_step_symmetric_pivots,
+    power,
+    rand_coeffs,
+    rand_fraction,
+)
 
 
 def brute_force_pair_product(roots):
@@ -126,17 +135,89 @@ def symmetric_matrices():
                 yield sympy.Matrix(a).rank(), a
 
 
+def leading_minors(rows) -> list[int]:
+    """The leading principal minors of an integer matrix, by sympy."""
+    return [
+        DomainMatrix([[sympy.ZZ(v) for v in row[:k]] for row in rows[:k]], (k, k), sympy.ZZ).det()
+        for k in range(1, len(rows) + 1)
+    ]
+
+
+def assert_pivots_are_leading_minors(pivots, minors, a) -> int:
+    """Until the first zero leading minor no pivot is replaced, so with
+    extra = a**2 pivot k is minor k over a**((k-1)(k-2)); returns how many
+    pivots that checks."""
+    m = next((k for k, v in enumerate(minors) if not v), len(minors))
+    assert [p * a ** (k * (k - 1)) for k, p in enumerate(pivots[:m])] == minors[:m]
+    return m
+
+
 def test_symmetric_pivots_match_determinant_and_rank(repivots):
     singular_ranks = {n: set() for n in range(1, 11)}
+    checked = []
     for rank, a in symmetric_matrices():
         pivots = disc._symmetric_pivots(a, 1)
         assert len(pivots) == rank and all(pivots)
         assert (pivots[-1] if rank == len(a) else 0) == determinant(a)
+        assert pivots == one_step_symmetric_pivots(a, 1)
+        checked.append(assert_pivots_are_leading_minors(pivots, leading_minors(a), 1))
         if rank < len(a):
             singular_ranks[len(a)].add(rank)
     assert all(ranks == set(range(n)) for n, ranks in singular_ranks.items())
+    assert sum(k >= 4 for k in checked) >= 20  # two full two-row steps checked by the minors
     assert repivots["swap"] >= 10
     assert repivots["congruence"] >= 10
+
+
+# the bordered matrix of `classify-conic 1,2,1,1,0,1`: its first pivot is 2 but
+# its leading 2x2 minor is 0
+ZERO_LEADING_2X2_MINOR = [[2, 2, 1], [2, 2, 0], [1, 0, -2]]
+
+
+@pytest.mark.parametrize(
+    "a, one_row_steps",
+    [
+        (ZERO_LEADING_2X2_MINOR, [0]),
+        (block_sum([[1, 1], [1, 3]], ZERO_LEADING_2X2_MINOR), [2]),
+        (block_sum(ZERO_LEADING_2X2_MINOR, ZERO_LEADING_2X2_MINOR), [0, 3]),
+    ],
+)
+def test_a_zero_leading_2x2_minor_takes_one_row_and_then_a_swap(a, one_row_steps, monkeypatch):
+    # the step from r to r + 2 needs the next pivot nonzero; here it is 0 at
+    # each r of one_row_steps, so one row is eliminated and row r + 1 repivoted
+    repivoted_at = []
+    repivot = disc._repivot
+
+    def spy(u, r):
+        repivoted_at.append(r)
+        return repivot(u, r)
+
+    monkeypatch.setattr(disc, "_repivot", spy)
+    pivots = disc._symmetric_pivots(a, 1)
+    assert repivoted_at == [r + 1 for r in one_row_steps]
+    assert pivots == one_step_symmetric_pivots(a, 1)
+    assert len(pivots) == len(a) and pivots[-1] == determinant(a)
+
+
+@settings(deadline=None)
+@given(
+    coeffs=st.integers(2, 40).flatmap(
+        lambda n: st.lists(
+            st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(1 << 20), 1 << 20)), min_size=n, max_size=n
+        )
+    ),
+    lead=st.integers(2, 1 << 20),
+    sign=st.sampled_from([-1, 1]),
+)
+def test_hankel_pivots_equal_the_one_step_reference_and_the_leading_minors(coeffs, lead, sign):
+    # [T_(i+j)] of a non-monic f of degree 2-40, eliminated with extra = a**2;
+    # sympy's minors check the first 12 pivots
+    a, n = sign * lead, len(coeffs)
+    t = disc._power_sums_z(coeffs + [a], 2 * n - 2)
+    rows = [t[i : i + n] for i in range(n)]
+    pivots = disc._symmetric_pivots(rows, a * a)
+    assert pivots == one_step_symmetric_pivots(rows, a * a)
+    assert_pivots_are_leading_minors(pivots, leading_minors([row[:12] for row in rows[:12]]), a)
 
 
 def newton_power_sums_over_q(f: Polynomial, m: int) -> list[Fraction]:
